@@ -31,11 +31,9 @@ from .cluster import (
     CLUSTER_PRESETS,
     ClusterSpec,
     GiB,
-    LinkInfo,
     ProcessGroups,
     build_groups,
     frontier,
-    link_class,
 )
 from .collectives import (
     ALL_GATHER,
@@ -43,7 +41,6 @@ from .collectives import (
     REDUCE_SCATTER,
     CollectiveCall,
     collective_time,
-    decompose_hierarchical,
     group_channel,
 )
 from .engine import (
@@ -63,7 +60,7 @@ from .engine import (
     simulate_step,
     sweep,
 )
-from .errors import ConfigError, DecompositionError, TopologyError
+from .errors import ConfigError, TopologyError
 from .sharding import (
     MemoryBreakdown,
     PrefetchPolicy,

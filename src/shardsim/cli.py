@@ -53,14 +53,33 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _pick(args: argparse.Namespace, config: dict, field: str, default=None):
-    """Flag wins over config; both set and conflicting is an error."""
-    flag = getattr(args, field.replace("-", "_"), None)
-    if field in config and flag is not None and config[field] != flag:
+def _typed(field: str, value, parse):
+    if value is None or parse is None:
+        return value
+    try:
+        return parse(value)
+    except (TypeError, ValueError):
+        raise CLIError(field, f"invalid value {value!r}")
+
+
+def _pick(args: argparse.Namespace, config: dict, field: str, default=None,
+          parse=None):
+    """Flag wins over config; both set and conflicting is an error.
+
+    `parse` types both sources before they are compared (a flag may arrive as
+    text, a config value as a number); a value it rejects names the field.
+    """
+    flag = _typed(field, getattr(args, field.replace("-", "_"), None), parse)
+    if field not in config:
+        return default if flag is None else flag
+    value = _typed(field, config[field], parse)
+    if flag is not None and value != flag:
         raise CLIError(field, "specified both on the command line and in --config")
-    if flag is not None:
-        return flag
-    return config.get(field, default)
+    return value if flag is None else flag
+
+
+def _int_list(value) -> list[int]:
+    return [int(n) for n in str(value).split(",") if n.strip()]
 
 
 def _resolve_model(value, field: str = "model"):
@@ -90,7 +109,10 @@ def _resolve_cluster(value, nodes: int, field: str = "cluster") -> ClusterSpec:
         preset = CLUSTER_PRESETS.get(value.lower())
         if preset is None:
             raise CLIError(field, f"unknown cluster preset {value!r}")
-        return preset(nodes)
+        try:
+            return preset(nodes)
+        except ConfigError as exc:
+            raise CLIError("nodes", str(exc))
     if isinstance(value, dict):
         try:
             return ClusterSpec(**{**value, "num_nodes": nodes})
@@ -111,12 +133,33 @@ def _resolve_strategy(value, field: str = "strategy") -> Strategy:
 def _resolve_policy(args, config) -> PrefetchPolicy:
     mode = _pick(args, config, "prefetch", "backward-pre")
     limit = _pick(args, config, "limit_all_gathers", True)
-    inflight = _pick(args, config, "max_inflight", 2)
+    inflight = _pick(args, config, "max_inflight", 2, parse=int)
     try:
         return PrefetchPolicy(mode=mode, limit_all_gathers=bool(limit),
-                              max_inflight=int(inflight))
+                              max_inflight=inflight)
     except ConfigError as exc:
         raise CLIError("prefetch", str(exc))
+
+
+def _io_model(args, config) -> IoModel | None:
+    rate = _pick(args, config, "io_rate", parse=float)
+    if rate is None:
+        return None
+    try:
+        return IoModel(images_per_second_per_rank=rate)
+    except ConfigError as exc:
+        raise CLIError("io_rate", str(exc))
+
+
+def _with_efficiency(args, config, cluster: ClusterSpec) -> ClusterSpec:
+    """The cluster at the requested fraction of peak, when one is given."""
+    efficiency = _pick(args, config, "efficiency", parse=float)
+    if efficiency is None:
+        return cluster
+    try:
+        return replace(cluster, compute_efficiency=efficiency)
+    except ConfigError as exc:
+        raise CLIError("efficiency", str(exc))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -173,9 +216,9 @@ def _cmd_memory(args) -> str:
     model_value = _pick(args, config, "model")
     model = _resolve_model(model_value)
     strategy = _resolve_strategy(_pick(args, config, "strategy"))
-    nodes = int(_pick(args, config, "nodes", 1))
+    nodes = _pick(args, config, "nodes", 1, parse=int)
     cluster = _resolve_cluster(_pick(args, config, "cluster"), nodes)
-    batch = int(_pick(args, config, "local_batch", 32))
+    batch = _pick(args, config, "local_batch", 32, parse=int)
     activation_model = _pick(args, config, "activation_model", CHECKPOINTED)
     if activation_model not in (CHECKPOINTED, FULL_CACHE):
         raise CLIError("activation_model", f"unknown model {activation_model!r}")
@@ -205,9 +248,9 @@ def _cmd_schedule(args) -> str:
     model_value = _pick(args, config, "model")
     model = _resolve_model(model_value)
     strategy = _resolve_strategy(_pick(args, config, "strategy"))
-    nodes = int(_pick(args, config, "nodes", 1))
+    nodes = _pick(args, config, "nodes", 1, parse=int)
     cluster = _resolve_cluster(_pick(args, config, "cluster"), nodes)
-    batch = int(_pick(args, config, "local_batch", 32))
+    batch = _pick(args, config, "local_batch", 32, parse=int)
     policy = _resolve_policy(args, config)
     scenario = Scenario(model=model if not isinstance(model_value, str) else model_value,
                         strategy=strategy, nodes=nodes, local_batch=batch,
@@ -223,12 +266,11 @@ def _scenario_from(args, config) -> tuple[Scenario, ClusterSpec, IoModel | None]
     model_value = _pick(args, config, "model")
     model = _resolve_model(model_value)
     strategy = _resolve_strategy(_pick(args, config, "strategy"))
-    nodes = int(_pick(args, config, "nodes", 1))
+    nodes = _pick(args, config, "nodes", 1, parse=int)
     cluster = _resolve_cluster(_pick(args, config, "cluster"), nodes)
-    batch = int(_pick(args, config, "local_batch", 32))
+    batch = _pick(args, config, "local_batch", 32, parse=int)
     policy = _resolve_policy(args, config)
-    io_rate = _pick(args, config, "io_rate")
-    io = IoModel(images_per_second_per_rank=float(io_rate)) if io_rate else None
+    io = _io_model(args, config)
     scenario = Scenario(model=model if not isinstance(model_value, str) else model_value,
                         strategy=strategy, nodes=nodes, local_batch=batch,
                         policy=policy)
@@ -238,11 +280,10 @@ def _scenario_from(args, config) -> tuple[Scenario, ClusterSpec, IoModel | None]
 def _cmd_simulate(args) -> str:
     config = _merge_config(args)
     scenario, cluster, io = _scenario_from(args, config)
-    efficiency = _pick(args, config, "efficiency")
-    latency_scale = float(_pick(args, config, "latency_scale", 1.0))
+    cluster = _with_efficiency(args, config, cluster)
+    latency_scale = _pick(args, config, "latency_scale", 1.0, parse=float)
     try:
         metrics = run_scenario(scenario, cluster, io=io,
-                               compute_efficiency=float(efficiency) if efficiency else None,
                                latency_scale=latency_scale)
     except TopologyError as exc:
         raise CLIError("strategy", str(exc))
@@ -273,24 +314,17 @@ def _cmd_sweep(args) -> str:
         raise CLIError("strategies", "a comma-separated strategy list is required")
     strategies = [_resolve_strategy(s.strip(), "strategies")
                   for s in str(strategies_value).split(",") if s.strip()]
-    nodes_value = _pick(args, config, "nodes")
-    if not nodes_value:
+    node_counts = _pick(args, config, "nodes", parse=_int_list)
+    if not node_counts:
         raise CLIError("nodes", "a comma-separated node-count list is required")
-    try:
-        node_counts = [int(n) for n in str(nodes_value).split(",") if n.strip()]
-    except ValueError:
-        raise CLIError("nodes", f"not an integer list: {nodes_value!r}")
     cluster = _resolve_cluster(_pick(args, config, "cluster"), 1)
-    batch = int(_pick(args, config, "local_batch", 32))
+    cluster = _with_efficiency(args, config, cluster)
+    batch = _pick(args, config, "local_batch", 32, parse=int)
     policy = _resolve_policy(args, config)
-    io_rate = _pick(args, config, "io_rate")
-    io = IoModel(images_per_second_per_rank=float(io_rate)) if io_rate else None
-    efficiency = _pick(args, config, "efficiency")
-    latency_scale = float(_pick(args, config, "latency_scale", 1.0))
+    io = _io_model(args, config)
+    latency_scale = _pick(args, config, "latency_scale", 1.0, parse=float)
     table = sweep(models, strategies, node_counts, cluster, policy=policy,
-                  local_batch=batch, io=io,
-                  compute_efficiency=float(efficiency) if efficiency else None,
-                  latency_scale=latency_scale)
+                  local_batch=batch, io=io, latency_scale=latency_scale)
     if args.format == "json":
         return table.to_json(indent=2)
     if args.format == "pretty-table":
@@ -333,9 +367,10 @@ def _cmd_calibrate(args) -> str:
                 local_batch=int(entry.get("local_batch", 32)),
             )
             _resolve_model(entry["model"], field)
-        except (KeyError, ConfigError) as exc:
+            measured = float(entry["measured_ips"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise CLIError(field, str(exc))
-        observations.append((scenario, float(entry["measured_ips"])))
+        observations.append((scenario, measured))
     fitted = calibrate(observations, cluster)
     return json.dumps({
         "compute_efficiency": fitted.compute_efficiency,

@@ -1,9 +1,11 @@
-"""Hierarchical machine model: nodes, GPUs, links, and process groups.
+"""Hierarchical machine model: nodes, GPUs, and process groups.
 
 A rank is one GPU.  Ranks are numbered node-major, so rank r lives on node
 r // gpus_per_node.  Inter-node bandwidth is a per-node injection limit shared
 by all of the node's GPUs; link latencies are calibration parameters with
-documented defaults rather than measured facts.
+documented defaults rather than measured facts.  A process group is a rank
+range (first rank, stride, size): shard groups are contiguous, replica groups
+strided, and neither is ever expanded into a rank list here.
 """
 
 from __future__ import annotations
@@ -48,12 +50,6 @@ class ClusterSpec:
     def effective_flops_per_gpu(self) -> float:
         return self.peak_flops_per_gpu * self.compute_efficiency
 
-    def node_of(self, rank: int) -> int:
-        if not 0 <= rank < self.world_size:
-            raise TopologyError(
-                f"rank {rank} out of range for world size {self.world_size}")
-        return rank // self.gpus_per_node
-
 
 def frontier(num_nodes: int = 1) -> ClusterSpec:
     """Preset for one MI250X-based partition: 8 GCD ranks per node with 64 GiB
@@ -66,55 +62,28 @@ CLUSTER_PRESETS = {"frontier": frontier}
 
 
 @dataclass(frozen=True)
-class LinkInfo:
-    kind: str        # same-gpu | intra-node | inter-node
-    bandwidth: float
-    latency: float
-
-
-def link_class(rank_a: int, rank_b: int, spec: ClusterSpec) -> LinkInfo:
-    """Classify the link between two ranks and report its raw parameters.
-
-    The inter-node figure is the per-node injection bandwidth; sharing between
-    the node's GPUs is applied by the collective cost model, not here.
-    """
-    node_a, node_b = spec.node_of(rank_a), spec.node_of(rank_b)
-    if rank_a == rank_b:
-        return LinkInfo("same-gpu", float("inf"), 0.0)
-    if node_a == node_b:
-        return LinkInfo("intra-node", spec.intra_node_bw, spec.intra_node_latency)
-    return LinkInfo("inter-node", spec.inter_node_bw, spec.inter_node_latency)
-
-
-@dataclass(frozen=True)
 class ProcessGroups:
     """A double partition of all ranks.
 
     Shard groups are contiguous rank ranges of size g; replica group k holds
-    the k-th member of every shard group.  Every rank appears in exactly one
-    group of each family.
+    the k-th member of every shard group, i.e. the range k, k+g, k+2g, ...
+    Every rank appears in exactly one group of each family.
     """
 
-    shard_groups: tuple[tuple[int, ...], ...]
-    replica_groups: tuple[tuple[int, ...], ...]
+    world_size: int
+    shard_group_size: int
 
-    @property
-    def shard_group_size(self) -> int:
-        return len(self.shard_groups[0])
+    def shard_group_of(self, rank: int) -> range:
+        first = rank - rank % self.shard_group_size
+        return range(first, first + self.shard_group_size)
 
-    @property
-    def world_size(self) -> int:
-        return self.shard_group_size * len(self.shard_groups)
-
-    def shard_group_of(self, rank: int) -> tuple[int, ...]:
-        return self.shard_groups[rank // self.shard_group_size]
-
-    def replica_group_of(self, rank: int) -> tuple[int, ...]:
-        return self.replica_groups[rank % self.shard_group_size]
+    def replica_group_of(self, rank: int) -> range:
+        return range(rank % self.shard_group_size, self.world_size,
+                     self.shard_group_size)
 
 
 def build_groups(spec: ClusterSpec, shard_group_size: int) -> ProcessGroups:
-    """Construct shard and replica groups for a given shard-group size.
+    """Describe the shard and replica groups for a given shard-group size.
 
     Shard groups never straddle a node boundary when they fit inside one
     (g <= gpus_per_node requires gpus_per_node % g == 0).
@@ -130,7 +99,4 @@ def build_groups(spec: ClusterSpec, shard_group_size: int) -> ProcessGroups:
         raise TopologyError(
             f"shard group size {g} does not divide gpus_per_node "
             f"{spec.gpus_per_node}, so groups would straddle nodes")
-    shard_groups = tuple(tuple(range(base, base + g))
-                         for base in range(0, world, g))
-    replica_groups = tuple(tuple(range(k, world, g)) for k in range(g))
-    return ProcessGroups(shard_groups=shard_groups, replica_groups=replica_groups)
+    return ProcessGroups(world_size=world, shard_group_size=g)

@@ -1,4 +1,4 @@
-"""Alpha-beta ring cost models for all-gather, reduce-scatter, and all-reduce.
+"""Alpha-beta ring cost model for all-gather, reduce-scatter, and all-reduce.
 
 For a ring over N ranks moving a full payload of S bytes at bottleneck
 bandwidth B with per-step latency alpha:
@@ -6,14 +6,14 @@ bandwidth B with per-step latency alpha:
     all-gather / reduce-scatter:  (N-1) * alpha + ((N-1)/N) * S / B
     all-reduce:                   2 * (N-1) * alpha + 2 * ((N-1)/N) * S / B
 
-`bytes` is always the full (unsharded) payload.  The bottleneck bandwidth of a
-group that spans nodes is min(intra link, inter_node_bw / gpus_per_node): the
-NIC is a per-node injection limit and the model conservatively assumes every
-GPU of a node competes for it (sibling groups of a double partition do run
-their collectives simultaneously).  A hierarchical-ring algorithm is offered
-for node-spanning groups; it phases the collective through intra-node rings
-plus a small inter-node ring and helps exactly when the shared NIC is the
-bottleneck.
+`ring_terms` is the one place this formula lives; `collective_time` and the
+engine's compiled schedules both take their terms from it.  `bytes` is always
+the full (unsharded) payload.  A group is a rank range (first rank, stride,
+size), so the number of nodes it spans is arithmetic on gpus_per_node.  The
+bottleneck bandwidth of a group that spans nodes is min(intra link,
+inter_node_bw / gpus_per_node): the NIC is a per-node injection limit and the
+model conservatively assumes every GPU of a node competes for it (sibling
+groups of a double partition do run their collectives simultaneously).
 """
 
 from __future__ import annotations
@@ -21,122 +21,69 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cluster import ClusterSpec
-from .errors import DecompositionError
+from .errors import TopologyError
 
 ALL_GATHER = "all-gather"
 REDUCE_SCATTER = "reduce-scatter"
 ALL_REDUCE = "all-reduce"
 _KINDS = (ALL_GATHER, REDUCE_SCATTER, ALL_REDUCE)
 
-RING = "ring"
-HIERARCHICAL_RING = "hierarchical-ring"
-
 
 @dataclass(frozen=True)
 class CollectiveCall:
     kind: str
     bytes: float
-    group: tuple[int, ...]
-    algorithm: str = RING
+    group: range
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown collective kind {self.kind!r}")
         if self.bytes < 0:
             raise ValueError("payload bytes must be >= 0")
-        if not self.group:
-            raise ValueError("collective group must be non-empty")
-        if len(set(self.group)) != len(self.group):
-            raise ValueError("collective group contains duplicate ranks")
-        if self.algorithm not in (RING, HIERARCHICAL_RING):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not isinstance(self.group, range) or not self.group \
+                or self.group.step < 1:
+            raise ValueError(
+                "collective group must be a non-empty ascending rank range")
 
 
-def group_nodes(group: tuple[int, ...], cluster: ClusterSpec) -> dict[int, list[int]]:
-    """Ranks of the group keyed by node, with range validation."""
-    by_node: dict[int, list[int]] = {}
-    for rank in group:
-        by_node.setdefault(cluster.node_of(rank), []).append(rank)
-    return by_node
+def group_nodes(group: range, cluster: ClusterSpec) -> int:
+    """Number of nodes an ascending rank range spans, with range validation.
+
+    Members closer than a node apart leave no node out between the first and
+    the last; members a node or more apart each sit on their own node.
+    """
+    if group[0] < 0 or group[-1] >= cluster.world_size:
+        raise TopologyError(
+            f"group {group} out of range for world size {cluster.world_size}")
+    per_node = cluster.gpus_per_node
+    if group.step >= per_node:
+        return len(group)
+    return group[-1] // per_node - group[0] // per_node + 1
 
 
-def group_channel(group: tuple[int, ...], cluster: ClusterSpec) -> tuple[float, float]:
+def group_channel(group: range, cluster: ClusterSpec) -> tuple[float, float]:
     """(bottleneck bandwidth, per-step latency) for a ring over `group`."""
-    if len(group_nodes(group, cluster)) == 1:
+    if group_nodes(group, cluster) == 1:
         return cluster.intra_node_bw, cluster.intra_node_latency
     shared = cluster.inter_node_bw / cluster.gpus_per_node
     return min(cluster.intra_node_bw, shared), cluster.inter_node_latency
 
 
+def ring_terms(kind: str, nbytes: float, size: int,
+               channel: tuple[float, float]) -> tuple[float, float]:
+    """(bandwidth seconds, latency seconds at scale 1) of one ring collective
+    over `size` ranks on `channel`; both zero for singletons or no payload."""
+    if size == 1 or nbytes == 0:
+        return 0.0, 0.0
+    bandwidth, alpha = channel
+    doubled = 2 if kind == ALL_REDUCE else 1
+    return (doubled * (size - 1) / size * nbytes / bandwidth,
+            doubled * (size - 1) * alpha)
+
+
 def collective_time(call: CollectiveCall, cluster: ClusterSpec,
                     latency_scale: float = 1.0) -> float:
     """Seconds for one collective; zero for singleton groups or empty payloads."""
-    n = len(call.group)
-    if n == 1 or call.bytes == 0:
-        return 0.0
-    by_node = group_nodes(call.group, cluster)
-    if call.algorithm == HIERARCHICAL_RING and len(by_node) > 1 \
-            and len(by_node) < n:
-        # With one rank per node there is no intra phase; flat ring applies.
-        return sum(collective_time(phase, cluster, latency_scale)
-                   for phase in decompose_hierarchical(call, cluster))
-    bandwidth, latency = group_channel(call.group, cluster)
-    alpha = latency * latency_scale
-    steps = n - 1
-    wire = (n - 1) / n * call.bytes / bandwidth
-    if call.kind == ALL_REDUCE:
-        return 2 * steps * alpha + 2 * wire
-    return steps * alpha + wire
-
-
-def decompose_hierarchical(call: CollectiveCall,
-                           cluster: ClusterSpec) -> list[CollectiveCall]:
-    """Split a node-spanning collective into intra-node and inter-node phases.
-
-    The phase list composes to the original collective and conserves the bytes
-    reduced/gathered.  The returned groups are the ones the first rank of the
-    call participates in (all sibling subsets behave identically).
-    """
-    by_node = group_nodes(call.group, cluster)
-    if len(by_node) < 2:
-        raise DecompositionError(
-            "hierarchical decomposition needs a group spanning >= 2 nodes")
-    sizes = {len(ranks) for ranks in by_node.values()}
-    if len(sizes) != 1:
-        raise DecompositionError(
-            "hierarchical decomposition needs the same rank count per node")
-    m = sizes.pop()
-    n_nodes = len(by_node)
-    anchor = call.group[0]
-    intra = tuple(sorted(by_node[cluster.node_of(anchor)]))
-    position = intra.index(anchor)
-    inter = tuple(sorted(ranks[position] for ranks in by_node.values()))
-    s = call.bytes
-    if m == 1:
-        # One rank per node: the collective is already a pure inter-node ring.
-        raise DecompositionError(
-            "group has one rank per node; there is no intra-node phase")
-    if call.kind == ALL_REDUCE:
-        return [
-            CollectiveCall(REDUCE_SCATTER, s, intra),
-            CollectiveCall(ALL_REDUCE, s / m, inter),
-            CollectiveCall(ALL_GATHER, s, intra),
-        ]
-    if call.kind == ALL_GATHER:
-        return [
-            CollectiveCall(ALL_GATHER, s / n_nodes, intra),
-            CollectiveCall(ALL_GATHER, s, inter),
-        ]
-    return [
-        CollectiveCall(REDUCE_SCATTER, s, intra),
-        CollectiveCall(REDUCE_SCATTER, s / m, inter),
-    ]
-
-
-def ring_bytes_moved_per_rank(call: CollectiveCall) -> float:
-    """Bytes a single rank sends for one flat-ring execution of `call`."""
-    n = len(call.group)
-    if n == 1:
-        return 0.0
-    per_phase = (n - 1) / n * call.bytes
-    return 2 * per_phase if call.kind == ALL_REDUCE else per_phase
+    wire, latency = ring_terms(call.kind, call.bytes, len(call.group),
+                               group_channel(call.group, cluster))
+    return wire + latency * latency_scale

@@ -3,9 +3,9 @@
 One representative rank is simulated: all ranks run the same task sequence and
 collectives are symmetric, so the canonical timeline is the step time.
 Resources are the rank's compute stream plus one communication stream per
-(link class, group); a task starts once its dependencies are done and its
-resource is idle, lowest task id first.  There is no randomness anywhere, so
-identical inputs produce identical traces.
+(intra/inter link, group); a task starts once its dependencies are done and
+its resource is idle, lowest task id first.  There is no randomness anywhere,
+so identical inputs produce identical traces.
 
 The input stage is modeled as a pipelined source: in steady state the step
 time is max(simulated makespan, local_batch / io_rate); it never adds.
@@ -22,14 +22,12 @@ import numpy as np
 
 from .arch import CHECKPOINTED, MAEConfig, ViTConfig, activation_bytes, get_model
 from .cluster import ClusterSpec
-from .collectives import ALL_GATHER, ALL_REDUCE, REDUCE_SCATTER, \
-    CollectiveCall, group_channel, group_nodes
+from .collectives import CollectiveCall, group_channel, group_nodes, \
+    ring_terms
 from .errors import ConfigError, TopologyError
 from .sharding import COMPUTE, FREE, MemoryBreakdown, PrefetchPolicy, \
     StepSchedule, Strategy, build_units, make_plan, memory_footprint, \
     step_schedule
-
-_COLLECTIVE_KINDS = (ALL_GATHER, REDUCE_SCATTER, ALL_REDUCE)
 
 
 @dataclass(frozen=True)
@@ -111,20 +109,14 @@ class _CompiledSchedule:
             if t.kind == FREE:
                 continue
             # Validate once; the per-candidate loop never re-touches groups.
-            CollectiveCall(t.kind, t.bytes, t.group)
-            spans = len(group_nodes(t.group, cluster)) > 1
-            link = "inter" if spans else "intra"
-            stride = t.group[1] - t.group[0] if len(t.group) > 1 else 0
-            key = f"comm:{link}:{t.group[0]}+{stride}x{len(t.group)}"
+            group = CollectiveCall(t.kind, t.bytes, t.group).group
+            link = "inter" if group_nodes(group, cluster) > 1 else "intra"
+            stride = group.step if len(group) > 1 else 0
+            key = f"comm:{link}:{group.start}+{stride}x{len(group)}"
             self.resources[t.id] = resource_ids.setdefault(key, len(resource_ids))
             self.names[t.id] = key
-            n_ranks = len(t.group)
-            if n_ranks == 1 or t.bytes == 0:
-                continue
-            bandwidth, alpha = group_channel(t.group, cluster)
-            doubled = 2 if t.kind == ALL_REDUCE else 1
-            self.wire[t.id] = doubled * (n_ranks - 1) / n_ranks * t.bytes / bandwidth
-            self.latency[t.id] = doubled * (n_ranks - 1) * alpha
+            self.wire[t.id], self.latency[t.id] = ring_terms(
+                t.kind, t.bytes, len(group), group_channel(group, cluster))
 
     def durations(self, effective_flops: float, latency_scale: float,
                   zero_comm: bool) -> list[float]:

@@ -7,7 +7,3 @@ class ConfigError(ValueError):
 
 class TopologyError(ValueError):
     """A process-group request is incompatible with the cluster layout."""
-
-
-class DecompositionError(ValueError):
-    """A collective cannot be decomposed as requested."""

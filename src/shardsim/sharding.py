@@ -287,7 +287,7 @@ class Task:
     phase: str                      # forward | backward
     bytes: int = 0
     flops: float = 0.0
-    group: tuple[int, ...] = ()
+    group: range = range(0)         # rank range; a rank list only in to_json
     deps: tuple[int, ...] = ()
 
 
@@ -346,7 +346,7 @@ class _Builder:
         self.tasks: list[Task] = []
 
     def add(self, kind: str, unit: str, phase: str, *, bytes: int = 0,
-            flops: float = 0.0, group: tuple[int, ...] = (),
+            flops: float = 0.0, group: range = range(0),
             deps: tuple[int, ...] = ()) -> int:
         task = Task(id=len(self.tasks), kind=kind, unit=unit, phase=phase,
                     bytes=bytes, flops=flops, group=group,

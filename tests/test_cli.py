@@ -212,6 +212,78 @@ class TestConfigFile:
         assert float(json.loads(out)["images_per_second"]) > 0
 
 
+class TestFlagValues:
+    RUN = ("--model", "vit-base", "--strategy", "no-shard")
+
+    def write(self, tmp_path, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    def test_same_nodes_in_config_and_flag_agree(self, capsys, tmp_path):
+        config = self.write(tmp_path, {"nodes": 2})
+        code, out, err = invoke(capsys, "memory", *self.RUN, "--config", config,
+                                "--nodes", "2", "--format", "json")
+        assert code == 0, err
+        _, alone, _ = invoke(capsys, "memory", *self.RUN, "--nodes", "2",
+                             "--format", "json")
+        assert out == alone
+
+    def test_different_nodes_in_config_and_flag_conflict(self, capsys, tmp_path):
+        config = self.write(tmp_path, {"nodes": 2})
+        code, _, err = invoke(capsys, "memory", *self.RUN, "--config", config,
+                              "--nodes", "4")
+        assert code == 2
+        assert "nodes" in err and "specified both" in err
+
+    @pytest.mark.parametrize("command", ["memory", "schedule", "simulate"])
+    @pytest.mark.parametrize("nodes", ["abc", "0"])
+    def test_bad_node_count_names_field(self, capsys, command, nodes):
+        code, _, err = invoke(capsys, command, *self.RUN, "--nodes", nodes)
+        assert code == 2
+        assert err.startswith("error: nodes:")
+
+    def test_bad_node_count_in_config_names_field(self, capsys, tmp_path):
+        config = self.write(tmp_path, {"nodes": "abc"})
+        code, _, err = invoke(capsys, "simulate", *self.RUN, "--config", config)
+        assert code == 2
+        assert err.startswith("error: nodes:")
+
+    @pytest.mark.parametrize("flag,field", [("--efficiency", "efficiency"),
+                                            ("--io-rate", "io_rate")])
+    def test_zero_simulate_value_is_rejected(self, capsys, flag, field):
+        code, _, err = invoke(capsys, "simulate", *self.RUN, "--nodes", "1",
+                              flag, "0")
+        assert code == 2
+        assert err.startswith(f"error: {field}:")
+
+    @pytest.mark.parametrize("flag,field", [("--efficiency", "efficiency"),
+                                            ("--io-rate", "io_rate")])
+    def test_zero_sweep_value_is_rejected(self, capsys, flag, field):
+        code, _, err = invoke(capsys, "sweep", "--model", "vit-base",
+                              "--strategies", "no-shard", "--nodes", "1,2",
+                              flag, "0")
+        assert code == 2
+        assert err.startswith(f"error: {field}:")
+
+    def test_efficiency_flag_reaches_the_simulation(self, capsys):
+        _, slow, _ = invoke(capsys, "simulate", *self.RUN, "--nodes", "1",
+                            "--efficiency", "0.2", "--format", "json")
+        _, fast, _ = invoke(capsys, "simulate", *self.RUN, "--nodes", "1",
+                            "--efficiency", "0.4", "--format", "json")
+        # Printed to 6 decimals, so the ratio holds to about 1e-5.
+        assert float(json.loads(slow)["compute_seconds"]) == pytest.approx(
+            2 * float(json.loads(fast)["compute_seconds"]), rel=1e-5)
+
+    def test_bad_observation_node_count_names_entry(self, capsys, tmp_path):
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([{"model": "vit-base", "strategy": "full",
+                                     "nodes": "abc", "measured_ips": 1.0}]))
+        code, _, err = invoke(capsys, "calibrate", "--observations", str(path))
+        assert code == 2
+        assert err.startswith("error: observations[0]:")
+
+
 class TestOutputDirEnv:
     def test_relative_output_resolves_against_env(self, capsys, tmp_path,
                                                   monkeypatch):

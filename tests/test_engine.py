@@ -51,7 +51,7 @@ class TestSimulateStep:
     def test_prefetched_gather_overlaps_backward(self):
         overlapped = manual_schedule([
             Task(0, "compute", "b1", "backward", flops=10e9),
-            Task(1, "all-gather", "b0", "backward", bytes=int(4e8), group=(0, 1)),
+            Task(1, "all-gather", "b0", "backward", bytes=int(4e8), group=range(2)),
         ])
         _, metrics = simulate_step(overlapped, LAB)
         assert metrics.step_seconds == pytest.approx(0.010, abs=1e-12)
@@ -59,7 +59,7 @@ class TestSimulateStep:
 
         serial = manual_schedule([
             Task(0, "compute", "b1", "backward", flops=10e9),
-            Task(1, "all-gather", "b0", "backward", bytes=int(4e8), group=(0, 1),
+            Task(1, "all-gather", "b0", "backward", bytes=int(4e8), group=range(2),
                  deps=(0,)),
         ])
         _, metrics = simulate_step(serial, LAB)
@@ -186,7 +186,7 @@ class TestCommFraction:
     def test_zero_byte_collectives(self):
         sched = manual_schedule([
             Task(0, "compute", "a", "forward", flops=1e9),
-            Task(1, "all-reduce", "a", "backward", bytes=0, group=(0, 1), deps=(0,)),
+            Task(1, "all-reduce", "a", "backward", bytes=0, group=range(2), deps=(0,)),
         ])
         assert comm_fraction(sched, LAB) == 0.0
 

@@ -1,0 +1,161 @@
+"""Byte-identity of the tool's outputs against pinned sha256 digests.
+
+The digests were produced at commit a6a4bcd (before process groups became rank
+ranges) and must not move under refactors that claim identical outputs: the
+sweep CSV, the ``schedule`` JSON, the ``simulate`` report and the event-trace
+rows of one simulation.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from shardsim import Scenario, Strategy, frontier, prepare_scenario, \
+    simulate_schedule
+from shardsim.cli import run
+
+# The `sweep` CSV over the benchmark's sweep-wide matrix.
+SWEEP_ARGV = ("sweep", "--model", "mae-base,mae-3b",
+              "--strategies", "full,hybrid8,no-shard",
+              "--nodes", ",".join(str(2 ** k) for k in range(12)),
+              "--format", "csv")
+SWEEP_SHA256 = \
+    "8625a10fcb9f8945725b8db0f798481a8a544d7516d1b7e1d70e8b9f55f04245"
+
+STRATEGIES = ("full", "hybrid8", "hybrid16", "grad-op", "ddp", "no-shard")
+PREFETCH = ("none", "backward-post", "backward-pre")
+
+# `schedule --model vit-base` JSON, keyed "strategy/prefetch/nodes".
+SCHEDULE_SHA256 = {
+    "full/none/2":
+        "ee0c066b5d4aab90fac0e7678bb74c1a9775797b26244c25ffa5008bb86202c7",
+    "full/none/16":
+        "b80c20da4a03aabe38483d9b5b3cd07117a514c4687105e089c9412b8743294a",
+    "full/backward-post/2":
+        "e0ddd191597fb70ee9a074834025799ef3f7c086ec2d3af562dd458feaf76b59",
+    "full/backward-post/16":
+        "61bd2619491564954c52459649fe6aa5c1fe2a609490c0be5ec2c13b1568e4fe",
+    "full/backward-pre/2":
+        "87df5b29ce8e273d526fab40425ea59464e7646aebf46118c4cc73f2677cbe2d",
+    "full/backward-pre/16":
+        "906928086289e78ccb48471543863ce3683f5a625774bad314a759b0a28807f8",
+    "hybrid8/none/2":
+        "47de040f4946c6e15af23c198310fde5ec58487dcab6b915cf54b354e2b387b7",
+    "hybrid8/none/16":
+        "c0ae6ad8f2780227757f4bd626a1688edb5740d53acff954408a220b8a81c5e3",
+    "hybrid8/backward-post/2":
+        "663e95ff43a9c94a7f87620b3d7188d36003dd8c3589c8546b9fe007daab931c",
+    "hybrid8/backward-post/16":
+        "090a7405ffd476ac3b5823d0364ae7cd4867b7a77e5b7627c58356c02d1c32fd",
+    "hybrid8/backward-pre/2":
+        "3d89207e438b89080065d01281ab145dffa4d484defadd2628f68b18f1820f47",
+    "hybrid8/backward-pre/16":
+        "a986ce5f5ea2dfd87e8d7905db8dec455846647ab3987f5c1f7cc732acb4eaec",
+    "hybrid16/none/2":
+        "a1abcde481942ae9e38594ccf9290744a7009da9322f5b096bc1a0d701ec63e2",
+    "hybrid16/none/16":
+        "42f18191994c5564e07a402471dde880d87892c4ed37093352822ecb8230ec51",
+    "hybrid16/backward-post/2":
+        "2fb2023e62614290bf6990c30a44f69f0837058a4137e1f38eae61e9cd45e444",
+    "hybrid16/backward-post/16":
+        "147141b14fae7444cc313b5bcf2c4c0bb44dca277a1cf37ce94145c43bb19df6",
+    "hybrid16/backward-pre/2":
+        "c21b1158c6a73e2c356ae9dcb4f67f45ded5e4fefeb17d518e3ad6a4d3ef735d",
+    "hybrid16/backward-pre/16":
+        "5881bc334310862c63b20d9474a8712021201e6129aa8dbf9e6b0345a9f43dbd",
+    "grad-op/none/2":
+        "8fc47449a06f97ace1192b94e2958f62716aa383f336e82a5898b4f2103c8d41",
+    "grad-op/none/16":
+        "b9df8774ba64e7a52dd80eaf0292bee6903b0f746280d21745fc49c90280c83c",
+    "grad-op/backward-post/2":
+        "579ffe82c8f1b3a3c862af61fe0aada90bef10e5d475a3105e77e0d7cf801b35",
+    "grad-op/backward-post/16":
+        "57a5a764a72c44e7edbcbb09e184fee940db7050e3157aae8c9130bd28be03ae",
+    "grad-op/backward-pre/2":
+        "0c3109553101020af9aa79ad1f6310141c12be57380bf35492b0fc6ecbbec7e9",
+    "grad-op/backward-pre/16":
+        "f3ed38d519359ba32b1857c56e582810970b80e483fd92569dc37a279235c780",
+    "ddp/none/2":
+        "2f8e69d50328c9425778ece47bcc3619fbccc9819c7a781f4e23a6dec1ca0442",
+    "ddp/none/16":
+        "19cd26dee78278c15c638c6b15124c58e43da515b4aaec33275c0b0b678c02e9",
+    "ddp/backward-post/2":
+        "12f70c358008493513f04a4533a4b08cf562eaa01c58bcc861a1cad32dae1c60",
+    "ddp/backward-post/16":
+        "aa1b77980dd736fd3214e2982ba11fa8899cd57dca3d55730d7c0415046afffd",
+    "ddp/backward-pre/2":
+        "ad701194d39380376f6faf88d15e0d5e8e6ee93ed8696749bc6d24af2c38cf98",
+    "ddp/backward-pre/16":
+        "e8a875de2c96471a31a9396bc53aadaa2e87149fa13c3c5fe8826c7fb50f48d7",
+    "no-shard/none/2":
+        "cf9f1f1d74ca92674ed7f675333ade864cd2bf537ed06d57c34e96e4b04b3f4d",
+    "no-shard/none/16":
+        "ce1e5abe916eeb6fa5d1cf879a63d3d4a3e008b3cdc41ba4b9f5fea3e9c15ad1",
+    "no-shard/backward-post/2":
+        "49e3a053db68930c874aeb3d9db35523830bb60e73c966885e13b37d994c0fbc",
+    "no-shard/backward-post/16":
+        "16617f93b69a51da28e3e036b3ce492e5782c8d2cb8c6ee4332472032d631b43",
+    "no-shard/backward-pre/2":
+        "be0f2eddad59e28092f71b81cdf90360b7a6ac4e4508b6895987840a772df535",
+    "no-shard/backward-pre/16":
+        "40c1c3693a907159861362cc1cb67a119dd651ac2b3973c3779ffc23af8a3c42",
+}
+
+# `simulate --model vit-base --nodes 2 --format json`, keyed by strategy.
+SIMULATE_SHA256 = {
+    "full":
+        "9bf4127ae7a42ceb67ad7aa75684eaef9d31048c8f20ff896f3d7cb12e9db018",
+    "hybrid8":
+        "5f792bebac3f74ed18afe73d8ec6f0b34181195f9de510b14a0ac5d7e6448a5d",
+    "hybrid16":
+        "9bf4127ae7a42ceb67ad7aa75684eaef9d31048c8f20ff896f3d7cb12e9db018",
+    "grad-op":
+        "7aaca523731014e436dd33791ecc6272fabee0f077c648e57f16d3c8b8dce431",
+    "ddp":
+        "c128a4a03f309d8b0d57c866bf7a39d566323cec0aac706f430c1c050dac1ee0",
+    "no-shard":
+        "756c8a1650c162ccc7e6b2afd4c684e5e51bb811f3bafbb2d7e24f1efcc2c3c6",
+}
+
+# simulate_schedule(...).to_json_rows() of vit-base hybrid8 on 2 nodes.
+TRACE_SHA256 = \
+    "c51847ee263b1cb2b38df922250d7a900abce43e9f7c04b1f76643b2a82b8bef"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def cli_output(capsys, *argv) -> str:
+    assert run(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_sweep_csv(capsys):
+    assert sha256(cli_output(capsys, *SWEEP_ARGV)) == SWEEP_SHA256
+
+
+@pytest.mark.parametrize("nodes", (2, 16))
+@pytest.mark.parametrize("prefetch", PREFETCH)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_schedule_json(capsys, strategy, prefetch, nodes):
+    out = cli_output(capsys, "schedule", "--model", "vit-base",
+                     "--strategy", strategy, "--prefetch", prefetch,
+                     "--nodes", str(nodes))
+    assert sha256(out) == SCHEDULE_SHA256[f"{strategy}/{prefetch}/{nodes}"]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_simulate_report(capsys, strategy):
+    out = cli_output(capsys, "simulate", "--model", "vit-base",
+                     "--strategy", strategy, "--nodes", "2", "--format", "json")
+    assert sha256(out) == SIMULATE_SHA256[strategy]
+
+
+def test_event_trace_rows():
+    scenario = Scenario(model="vit-base", strategy=Strategy.parse("hybrid8"),
+                        nodes=2)
+    schedule, _, spec = prepare_scenario(scenario, frontier(1))
+    rows = simulate_schedule(schedule, spec).to_json_rows()
+    assert sha256(json.dumps(rows)) == TRACE_SHA256
