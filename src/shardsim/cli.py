@@ -78,8 +78,16 @@ def _pick(args: argparse.Namespace, config: dict, field: str, default=None,
     return value if flag is None else flag
 
 
-def _int_list(value) -> list[int]:
-    return [int(n) for n in str(value).split(",") if n.strip()]
+def _count(value) -> int:
+    """An integer count that must be >= 1 (nodes, local batch)."""
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"count must be >= 1, got {number}")
+    return number
+
+
+def _count_list(value) -> list[int]:
+    return [_count(n) for n in str(value).split(",") if n.strip()]
 
 
 def _resolve_model(value, field: str = "model"):
@@ -216,9 +224,9 @@ def _cmd_memory(args) -> str:
     model_value = _pick(args, config, "model")
     model = _resolve_model(model_value)
     strategy = _resolve_strategy(_pick(args, config, "strategy"))
-    nodes = _pick(args, config, "nodes", 1, parse=int)
+    nodes = _pick(args, config, "nodes", 1, parse=_count)
     cluster = _resolve_cluster(_pick(args, config, "cluster"), nodes)
-    batch = _pick(args, config, "local_batch", 32, parse=int)
+    batch = _pick(args, config, "local_batch", 32, parse=_count)
     activation_model = _pick(args, config, "activation_model", CHECKPOINTED)
     if activation_model not in (CHECKPOINTED, FULL_CACHE):
         raise CLIError("activation_model", f"unknown model {activation_model!r}")
@@ -248,9 +256,9 @@ def _cmd_schedule(args) -> str:
     model_value = _pick(args, config, "model")
     model = _resolve_model(model_value)
     strategy = _resolve_strategy(_pick(args, config, "strategy"))
-    nodes = _pick(args, config, "nodes", 1, parse=int)
+    nodes = _pick(args, config, "nodes", 1, parse=_count)
     cluster = _resolve_cluster(_pick(args, config, "cluster"), nodes)
-    batch = _pick(args, config, "local_batch", 32, parse=int)
+    batch = _pick(args, config, "local_batch", 32, parse=_count)
     policy = _resolve_policy(args, config)
     scenario = Scenario(model=model if not isinstance(model_value, str) else model_value,
                         strategy=strategy, nodes=nodes, local_batch=batch,
@@ -266,9 +274,9 @@ def _scenario_from(args, config) -> tuple[Scenario, ClusterSpec, IoModel | None]
     model_value = _pick(args, config, "model")
     model = _resolve_model(model_value)
     strategy = _resolve_strategy(_pick(args, config, "strategy"))
-    nodes = _pick(args, config, "nodes", 1, parse=int)
+    nodes = _pick(args, config, "nodes", 1, parse=_count)
     cluster = _resolve_cluster(_pick(args, config, "cluster"), nodes)
-    batch = _pick(args, config, "local_batch", 32, parse=int)
+    batch = _pick(args, config, "local_batch", 32, parse=_count)
     policy = _resolve_policy(args, config)
     io = _io_model(args, config)
     scenario = Scenario(model=model if not isinstance(model_value, str) else model_value,
@@ -314,12 +322,12 @@ def _cmd_sweep(args) -> str:
         raise CLIError("strategies", "a comma-separated strategy list is required")
     strategies = [_resolve_strategy(s.strip(), "strategies")
                   for s in str(strategies_value).split(",") if s.strip()]
-    node_counts = _pick(args, config, "nodes", parse=_int_list)
+    node_counts = _pick(args, config, "nodes", parse=_count_list)
     if not node_counts:
         raise CLIError("nodes", "a comma-separated node-count list is required")
     cluster = _resolve_cluster(_pick(args, config, "cluster"), 1)
     cluster = _with_efficiency(args, config, cluster)
-    batch = _pick(args, config, "local_batch", 32, parse=int)
+    batch = _pick(args, config, "local_batch", 32, parse=_count)
     policy = _resolve_policy(args, config)
     io = _io_model(args, config)
     latency_scale = _pick(args, config, "latency_scale", 1.0, parse=float)
@@ -363,8 +371,8 @@ def _cmd_calibrate(args) -> str:
             scenario = Scenario(
                 model=entry["model"],
                 strategy=Strategy.parse(entry["strategy"]),
-                nodes=int(entry["nodes"]),
-                local_batch=int(entry.get("local_batch", 32)),
+                nodes=_count(entry["nodes"]),
+                local_batch=_count(entry.get("local_batch", 32)),
             )
             _resolve_model(entry["model"], field)
             measured = float(entry["measured_ips"])

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, replace
-
-import numpy as np
 
 from .arch import CHECKPOINTED, MAEConfig, ViTConfig, activation_bytes, get_model
 from .cluster import ClusterSpec
@@ -38,8 +37,10 @@ class IoModel:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.enabled and self.images_per_second_per_rank <= 0:
-            raise ConfigError("io rate must be > 0 when enabled")
+        rate = self.images_per_second_per_rank
+        if self.enabled and not (math.isfinite(rate) and rate > 0):
+            raise ConfigError(
+                f"io rate must be a finite number > 0 when enabled, got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,8 @@ class _CompiledSchedule:
     """Static timing terms of a schedule on a cluster, reusable while only
     compute efficiency and latency scale vary between simulations."""
 
-    __slots__ = ("n", "flops", "wire", "latency", "resources", "names",
-                 "children", "base_deps")
+    __slots__ = ("n", "flops", "wire", "latency", "resources", "n_resources",
+                 "names", "children", "base_deps")
 
     def __init__(self, schedule: StepSchedule, cluster: ClusterSpec) -> None:
         tasks = schedule.tasks
@@ -95,11 +96,12 @@ class _CompiledSchedule:
         self.flops = [0.0] * self.n
         self.wire = [0.0] * self.n       # bandwidth term, seconds
         self.latency = [0.0] * self.n    # latency term at scale 1, seconds
-        self.resources = [0] * self.n
+        self.resources = [0] * self.n    # 0 is the compute stream
         self.names = ["compute"] * self.n
         self.children: list[list[int]] = [[] for _ in range(self.n)]
         self.base_deps = [len(t.deps) for t in tasks]
-        resource_ids: dict[str, int] = {"compute": 0}
+        # One communication stream per group: (resource id, name, channel).
+        streams: dict[range, tuple[int, str, tuple[float, float]]] = {}
         for t in tasks:
             for d in t.deps:
                 self.children[d].append(t.id)
@@ -110,16 +112,23 @@ class _CompiledSchedule:
                 continue
             # Validate once; the per-candidate loop never re-touches groups.
             group = CollectiveCall(t.kind, t.bytes, t.group).group
-            link = "inter" if group_nodes(group, cluster) > 1 else "intra"
-            stride = group.step if len(group) > 1 else 0
-            key = f"comm:{link}:{group.start}+{stride}x{len(group)}"
-            self.resources[t.id] = resource_ids.setdefault(key, len(resource_ids))
-            self.names[t.id] = key
+            stream = streams.get(group)
+            if stream is None:
+                link = "inter" if group_nodes(group, cluster) > 1 else "intra"
+                stride = group.step if len(group) > 1 else 0
+                key = f"comm:{link}:{group.start}+{stride}x{len(group)}"
+                stream = streams[group] = (len(streams) + 1, key,
+                                           group_channel(group, cluster))
+            self.resources[t.id], self.names[t.id], channel = stream
             self.wire[t.id], self.latency[t.id] = ring_terms(
-                t.kind, t.bytes, len(group), group_channel(group, cluster))
+                t.kind, t.bytes, len(group), channel)
+        self.n_resources = len(streams) + 1
 
     def durations(self, effective_flops: float, latency_scale: float,
                   zero_comm: bool) -> list[float]:
+        if not (math.isfinite(latency_scale) and latency_scale > 0):
+            raise ConfigError("latency_scale: must be a finite number > 0, "
+                              f"got {latency_scale!r}")
         if zero_comm:
             return [f / effective_flops if f else 0.0 for f in self.flops]
         return [
@@ -127,52 +136,82 @@ class _CompiledSchedule:
             for f, w, lat in zip(self.flops, self.wire, self.latency)
         ]
 
+    def compute_seconds(self, durations: list[float]) -> float:
+        """Sum of the compute stream's durations in task-id order.
+
+        The compute stream is one dependency chain and its FREE tasks take no
+        time, so this is also the makespan with every collective at zero.
+        """
+        return sum(d for d, r in zip(durations, self.resources) if not r)
+
     def run(self, durations: list[float]) -> tuple[list[float], list[float]]:
         """Event-driven list scheduling: at every completion, each idle
-        resource starts its lowest-id ready task.  Fully deterministic."""
-        n = self.n
+        resource starts its lowest-id ready task.  Fully deterministic.
+
+        Idle resources of newly ready children start before the completing
+        task's own resource.  Running tasks are keyed (end, task id), so the
+        order in which tasks start at one instant never changes the result.
+        """
+        heappush, heappop, heappushpop = \
+            heapq.heappush, heapq.heappop, heapq.heappushpop
+        resources, children = self.resources, self.children
         remaining = self.base_deps[:]
-        ready: dict[int, list[int]] = {}
-        busy: dict[int, bool] = {}
-        start = [0.0] * n
-        end = [0.0] * n
+        ready: list[list[int]] = [[] for _ in range(self.n_resources)]
+        busy = [False] * self.n_resources
+        start = [0.0] * self.n
+        end = [0.0] * self.n
         running: list[tuple[float, int]] = []
-        scheduled = 0
 
-        def try_start(resource: int, now: float) -> None:
-            nonlocal scheduled
-            heap = ready.get(resource)
-            if not heap or busy.get(resource):
-                return
-            tid = heapq.heappop(heap)
-            start[tid] = now
-            end[tid] = now + durations[tid]
-            busy[resource] = True
-            heapq.heappush(running, (end[tid], tid))
-            scheduled += 1
-
-        for tid in range(n):
-            if remaining[tid] == 0:
-                heapq.heappush(ready.setdefault(self.resources[tid], []), tid)
-        for resource in list(ready):
-            try_start(resource, 0.0)
+        for tid, deps in enumerate(remaining):
+            if not deps:
+                ready[resources[tid]].append(tid)   # ascending ids: a heap
+        for resource, heap in enumerate(ready):
+            if heap:
+                tid = heappop(heap)
+                end[tid] = finish = 0.0 + durations[tid]
+                busy[resource] = True
+                heappush(running, (finish, tid))
 
         while running:
-            now, tid = heapq.heappop(running)
-            resource = self.resources[tid]
+            now, tid = heappop(running)
+            resource = resources[tid]
             busy[resource] = False
-            for child in self.children[tid]:
-                remaining[child] -= 1
-                if remaining[child] == 0:
-                    child_resource = self.resources[child]
-                    heapq.heappush(ready.setdefault(child_resource, []), child)
-                    try_start(child_resource, now)
-            try_start(resource, now)
+            for child in children[tid]:
+                left = remaining[child] - 1
+                remaining[child] = left
+                if left:
+                    continue
+                child_resource = resources[child]
+                heap = ready[child_resource]
+                if busy[child_resource]:
+                    heappush(heap, child)
+                    continue
+                if heap:    # push, then start the lowest ready id
+                    child = heappushpop(heap, child)
+                start[child] = now
+                end[child] = finish = now + durations[child]
+                busy[child_resource] = True
+                heappush(running, (finish, child))
+            if not busy[resource]:
+                heap = ready[resource]
+                if heap:
+                    tid = heappop(heap)
+                    start[tid] = now
+                    end[tid] = finish = now + durations[tid]
+                    busy[resource] = True
+                    heappush(running, (finish, tid))
 
-        if scheduled != n:
+        if any(remaining):
             raise ValueError(
                 "schedule contains unreachable tasks (dependency cycle)")
         return start, end
+
+    def trace(self, schedule: StepSchedule, start: list[float],
+               end: list[float]) -> EventTrace:
+        names = self.names
+        return EventTrace(events=tuple(
+            Event(t.id, start[t.id], end[t.id], names[t.id])
+            for t in schedule.tasks))
 
 
 def simulate_schedule(schedule: StepSchedule, cluster: ClusterSpec,
@@ -183,10 +222,20 @@ def simulate_schedule(schedule: StepSchedule, cluster: ClusterSpec,
     durations = compiled.durations(cluster.effective_flops_per_gpu,
                                    latency_scale, zero_comm)
     start, end = compiled.run(durations)
-    names = compiled.names
-    events = tuple(Event(t.id, start[t.id], end[t.id], names[t.id])
-                   for t in schedule.tasks)
-    return EventTrace(events=events)
+    return compiled.trace(schedule, start, end)
+
+
+def _simulate(schedule: StepSchedule, cluster: ClusterSpec,
+              latency_scale: float):
+    """One simulation of `schedule`: the compiled schedule, start and end
+    times, makespan, compute seconds, and exposed communication seconds."""
+    compiled = _CompiledSchedule(schedule, cluster)
+    durations = compiled.durations(cluster.effective_flops_per_gpu,
+                                   latency_scale, False)
+    start, end = compiled.run(durations)
+    makespan = max(end, default=0.0)
+    compute = compiled.compute_seconds(durations)
+    return compiled, start, end, makespan, compute, max(0.0, makespan - compute)
 
 
 def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
@@ -195,19 +244,13 @@ def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
                   ) -> tuple[EventTrace, StepMetrics]:
     """Simulate one step and derive throughput metrics.
 
-    Exposed communication is the makespan difference between the run as-is and
-    a rerun with every collective forced to zero duration.
+    Exposed communication is the makespan minus the summed compute time: the
+    compute stream is a single dependency chain, so that sum is exactly the
+    makespan of the step with every collective at zero duration.
     """
-    compiled = _CompiledSchedule(schedule, cluster)
-    flops_rate = cluster.effective_flops_per_gpu
-    start, end = compiled.run(compiled.durations(flops_rate, latency_scale, False))
-    synthetic = max(end, default=0.0)
-    names = compiled.names
-    trace = EventTrace(events=tuple(
-        Event(t.id, start[t.id], end[t.id], names[t.id]) for t in schedule.tasks))
-    _, end_nc = compiled.run(compiled.durations(flops_rate, latency_scale, True))
-    no_comm = max(end_nc, default=0.0)
-    exposed = max(0.0, synthetic - no_comm)
+    compiled, start, end, synthetic, compute_seconds, exposed = _simulate(
+        schedule, cluster, latency_scale)
+    trace = compiled.trace(schedule, start, end)
     fraction = exposed / synthetic if synthetic > 0 else 0.0
 
     io_seconds = 0.0
@@ -217,9 +260,6 @@ def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
         step = max(synthetic, io_seconds)
     global_batch = schedule.world * schedule.local_batch
     ips = global_batch / step if step > 0 else 0.0
-    compute_seconds = sum(
-        t.flops / cluster.effective_flops_per_gpu
-        for t in schedule.tasks if t.kind == COMPUTE)
     metrics = StepMetrics(
         step_seconds=step,
         images_per_second=ips,
@@ -234,13 +274,9 @@ def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
 
 def comm_fraction(schedule: StepSchedule, cluster: ClusterSpec,
                   latency_scale: float = 1.0) -> float:
-    """Fraction of the step lost to communication: (t_with - t_without)/t_with."""
-    with_comm = simulate_schedule(schedule, cluster, latency_scale).makespan
-    without = simulate_schedule(schedule, cluster, latency_scale,
-                                zero_comm=True).makespan
-    if with_comm <= 0:
-        return 0.0
-    return max(0.0, with_comm - without) / with_comm
+    """Fraction of the step lost to communication: exposed comm / makespan."""
+    _, _, _, makespan, _, exposed = _simulate(schedule, cluster, latency_scale)
+    return exposed / makespan if makespan > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -398,6 +434,25 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
     return SweepTable(rows=tuple(rows))
 
 
+def _linspace(first: float, last: float, num: int) -> list[float]:
+    """`num` >= 2 evenly spaced points, `first + i * step`, ending exactly
+    at `last` (numpy.linspace's arithmetic)."""
+    step = (last - first) / (num - 1)
+    points = [first + i * step for i in range(num)]
+    points[-1] = last
+    return points
+
+
+def _geomspace(first: float, last: float, num: int) -> list[float]:
+    """`num` >= 2 points evenly spaced in log10 between positive endpoints,
+    which are kept exact (numpy.geomspace's arithmetic, with libm's log10
+    and pow)."""
+    points = [10.0 ** y for y in _linspace(math.log10(first),
+                                            math.log10(last), num)]
+    points[0], points[-1] = first, last
+    return points
+
+
 @dataclass(frozen=True)
 class CalibratedParams:
     compute_efficiency: float
@@ -442,29 +497,30 @@ def calibrate(observations, cluster: ClusterSpec,
             total += ((ips - measured) / measured) ** 2
         return total
 
-    eff_grid = np.asarray(efficiency_grid if efficiency_grid is not None
-                          else np.linspace(0.05, 1.0, 20))
-    scale_grid = np.asarray(latency_scale_grid if latency_scale_grid is not None
-                            else np.geomspace(0.25, 32.0, 15))
+    eff_grid = [float(e) for e in efficiency_grid] \
+        if efficiency_grid is not None else _linspace(0.05, 1.0, 20)
+    scale_grid = [float(s) for s in latency_scale_grid] \
+        if latency_scale_grid is not None else _geomspace(0.25, 32.0, 15)
 
-    best = (float("inf"), float(eff_grid[0]), float(scale_grid[0]))
+    best = (float("inf"), eff_grid[0], scale_grid[0])
     for e in eff_grid:
         for s in scale_grid:
-            value = loss(float(e), float(s))
+            value = loss(e, s)
             if value < best[0]:
-                best = (value, float(e), float(s))
+                best = (value, e, s)
 
-    e_step = float(eff_grid[-1] - eff_grid[0]) / max(len(eff_grid) - 1, 1)
-    s_width = float(scale_grid[-1] / scale_grid[0]) ** (1 / max(len(scale_grid) - 1, 1))
+    e_step = (eff_grid[-1] - eff_grid[0]) / max(len(eff_grid) - 1, 1)
+    s_width = (scale_grid[-1] / scale_grid[0]) ** (1 / max(len(scale_grid) - 1, 1))
     for _ in range(refinement_rounds):
         _, e0, s0 = best
-        eff_grid = np.clip(np.linspace(e0 - e_step, e0 + e_step, 9), 1e-3, 1.0)
-        scale_grid = np.geomspace(s0 / s_width, s0 * s_width, 9)
+        eff_grid = [min(max(e, 1e-3), 1.0)
+                    for e in _linspace(e0 - e_step, e0 + e_step, 9)]
+        scale_grid = _geomspace(s0 / s_width, s0 * s_width, 9)
         for e in eff_grid:
             for s in scale_grid:
-                value = loss(float(e), float(s))
+                value = loss(e, s)
                 if value < best[0]:
-                    best = (value, float(e), float(s))
+                    best = (value, e, s)
         e_step /= 4.0
         s_width **= 0.25
 

@@ -266,6 +266,38 @@ class TestFlagValues:
         assert code == 2
         assert err.startswith(f"error: {field}:")
 
+    def test_zero_sweep_node_count_names_field(self, capsys):
+        code, _, err = invoke(capsys, "sweep", "--model", "vit-base",
+                              "--strategies", "no-shard", "--nodes", "0,1")
+        assert code == 2
+        assert err.startswith("error: nodes:")
+
+    @pytest.mark.parametrize("command", ["memory", "schedule", "simulate"])
+    def test_zero_local_batch_names_field(self, capsys, command):
+        code, _, err = invoke(capsys, command, *self.RUN, "--local-batch", "0")
+        assert code == 2
+        assert err.startswith("error: local_batch:")
+
+    @pytest.mark.parametrize("scale", ["-5", "0", "nan", "inf"])
+    def test_bad_latency_scale_names_field(self, capsys, scale):
+        code, _, err = invoke(capsys, "simulate", *self.RUN,
+                              "--latency-scale", scale)
+        assert code == 2
+        assert err.startswith("error: latency_scale:")
+        code, _, err = invoke(capsys, "sweep", "--model", "vit-base",
+                              "--strategies", "no-shard", "--nodes", "1,2",
+                              "--latency-scale", scale)
+        assert code == 2
+        assert err.startswith("error: latency_scale:")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_nan_io_rate_names_field(self, capsys, command):
+        run_args = self.RUN if command == "simulate" else (
+            "--model", "vit-base", "--strategies", "no-shard", "--nodes", "1")
+        code, _, err = invoke(capsys, command, *run_args, "--io-rate", "nan")
+        assert code == 2
+        assert err.startswith("error: io_rate:")
+
     def test_efficiency_flag_reaches_the_simulation(self, capsys):
         _, slow, _ = invoke(capsys, "simulate", *self.RUN, "--nodes", "1",
                             "--efficiency", "0.2", "--format", "json")
@@ -279,6 +311,16 @@ class TestFlagValues:
         path = tmp_path / "obs.json"
         path.write_text(json.dumps([{"model": "vit-base", "strategy": "full",
                                      "nodes": "abc", "measured_ips": 1.0}]))
+        code, _, err = invoke(capsys, "calibrate", "--observations", str(path))
+        assert code == 2
+        assert err.startswith("error: observations[0]:")
+
+    @pytest.mark.parametrize("field", ["nodes", "local_batch"])
+    def test_zero_observation_count_names_entry(self, capsys, tmp_path, field):
+        entry = {"model": "vit-base", "strategy": "full", "nodes": 1,
+                 "measured_ips": 1.0, field: 0}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([entry, {**entry, field: 1}]))
         code, _, err = invoke(capsys, "calibrate", "--observations", str(path))
         assert code == 2
         assert err.startswith("error: observations[0]:")

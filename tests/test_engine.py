@@ -1,10 +1,15 @@
+import heapq
+import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shardsim import (
     ClusterSpec,
     CollectiveCall,
+    ConfigError,
     IoModel,
     PrefetchPolicy,
     Scenario,
@@ -23,6 +28,7 @@ from shardsim import (
     simulate_step,
     step_schedule,
 )
+from shardsim.engine import _CompiledSchedule
 
 warnings.simplefilter("ignore", UserWarning)
 
@@ -180,6 +186,140 @@ class TestOracle:
             collective_time(CollectiveCall(t.kind, t.bytes, t.group), spec)
             for t in sched.collectives())
         assert simulated == pytest.approx(closed, rel=1e-9)
+
+
+def reference_run(resources, children, base_deps, durations):
+    """Reference list scheduler in its plainest form (dict-keyed ready heaps
+    and busy flags, a `try_start` closure); `_CompiledSchedule.run` must
+    return exactly its start and end times."""
+    n = len(resources)
+    remaining = base_deps[:]
+    ready = {}
+    busy = {}
+    start = [0.0] * n
+    end = [0.0] * n
+    running = []
+    scheduled = 0
+
+    def try_start(resource, now):
+        nonlocal scheduled
+        heap = ready.get(resource)
+        if not heap or busy.get(resource):
+            return
+        tid = heapq.heappop(heap)
+        start[tid] = now
+        end[tid] = now + durations[tid]
+        busy[resource] = True
+        heapq.heappush(running, (end[tid], tid))
+        scheduled += 1
+
+    for tid in range(n):
+        if remaining[tid] == 0:
+            heapq.heappush(ready.setdefault(resources[tid], []), tid)
+    for resource in list(ready):
+        try_start(resource, 0.0)
+
+    while running:
+        now, tid = heapq.heappop(running)
+        resource = resources[tid]
+        busy[resource] = False
+        for child in children[tid]:
+            remaining[child] -= 1
+            if remaining[child] == 0:
+                child_resource = resources[child]
+                heapq.heappush(ready.setdefault(child_resource, []), child)
+                try_start(child_resource, now)
+        try_start(resource, now)
+
+    if scheduled != n:
+        raise ValueError("schedule contains unreachable tasks (dependency cycle)")
+    return start, end
+
+
+def compiled_dag(resources, deps):
+    """A compiled schedule with the given task resources and dependency lists,
+    built directly so `run` can be fed any DAG (or a cycle)."""
+    compiled = object.__new__(_CompiledSchedule)
+    compiled.n = len(resources)
+    compiled.resources = list(resources)
+    compiled.n_resources = max(resources, default=0) + 1
+    compiled.children = [[] for _ in resources]
+    for tid, task_deps in enumerate(deps):
+        for d in task_deps:
+            compiled.children[d].append(tid)
+    compiled.base_deps = [len(d) for d in deps]
+    return compiled
+
+
+@st.composite
+def random_dags(draw):
+    """Tasks on up to four shared resources, deps only to lower ids, and
+    durations from a small set with 0.0 and repeats, so ties are common."""
+    n = draw(st.integers(1, 40))
+    n_resources = draw(st.integers(1, 4))
+    resources = [draw(st.integers(0, n_resources - 1)) for _ in range(n)]
+    deps = [sorted(draw(st.sets(st.integers(0, tid - 1), max_size=3)))
+            if tid else [] for tid in range(n)]
+    durations = [draw(st.sampled_from((0.0, 0.0, 1.0, 1.0, 0.1, 0.2, 0.3, 2.5)))
+                 for _ in range(n)]
+    return resources, deps, durations
+
+
+class TestEventLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(random_dags())
+    def test_matches_reference_scheduler(self, dag):
+        resources, deps, durations = dag
+        compiled = compiled_dag(resources, deps)
+        expected = reference_run(compiled.resources, compiled.children,
+                                 compiled.base_deps, durations)
+        assert compiled.run(durations) == expected
+
+    def test_cycle_raises(self):
+        # Task 0 is free to run; tasks 1 and 2 wait on each other.
+        compiled = compiled_dag([0, 0, 1], [[], [2], [1]])
+        with pytest.raises(ValueError, match="cycle"):
+            compiled.run([1.0, 1.0, 1.0])
+
+
+class TestZeroCommIdentity:
+    @pytest.mark.parametrize("nodes", (1, 2, 4))
+    @pytest.mark.parametrize("limit", (True, False))
+    @pytest.mark.parametrize("prefetch", ("none", "backward-post",
+                                          "backward-pre"))
+    @pytest.mark.parametrize("strategy", ("full", "hybrid2", "hybrid8",
+                                          "grad-op", "ddp", "no-shard"))
+    def test_zero_comm_makespan_is_compute_seconds(self, strategy, prefetch,
+                                                   limit, nodes):
+        spec = frontier(nodes)
+        plan = make_plan(build_units(get_model("vit-base"), 4),
+                         Strategy.parse(strategy), spec)
+        sched = step_schedule(
+            plan, PrefetchPolicy(mode=prefetch, limit_all_gathers=limit),
+            local_batch=4)
+        trace, metrics = simulate_step(sched, spec)
+        zero = simulate_schedule(sched, spec, zero_comm=True).makespan
+        assert zero == metrics.compute_seconds
+        assert metrics.comm_seconds_exposed == \
+            max(0.0, trace.makespan - metrics.compute_seconds)
+        assert comm_fraction(sched, spec) == metrics.comm_fraction
+
+
+class TestBadScales:
+    SCHED = manual_schedule([Task(0, "compute", "a", "forward", flops=1e9)])
+
+    @pytest.mark.parametrize("scale", (0.0, -5.0, math.nan, math.inf))
+    def test_latency_scale_rejected(self, scale):
+        with pytest.raises(ConfigError, match="latency_scale"):
+            simulate_step(self.SCHED, LAB, latency_scale=scale)
+        with pytest.raises(ConfigError, match="latency_scale"):
+            simulate_schedule(self.SCHED, LAB, latency_scale=scale,
+                              zero_comm=True)
+
+    @pytest.mark.parametrize("rate", (0.0, -1.0, math.nan, math.inf))
+    def test_io_rate_rejected(self, rate):
+        with pytest.raises(ConfigError):
+            IoModel(rate)
 
 
 class TestCommFraction:

@@ -3,7 +3,8 @@
 The digests were produced at commit a6a4bcd (before process groups became rank
 ranges) and must not move under refactors that claim identical outputs: the
 sweep CSV, the ``schedule`` JSON, the ``simulate`` report and the event-trace
-rows of one simulation.
+rows of one simulation.  The ``calibrate`` digests were produced at 5b2975b
+(before the flat-list event loop and the numpy-free grids).
 """
 
 import hashlib
@@ -11,8 +12,8 @@ import json
 
 import pytest
 
-from shardsim import Scenario, Strategy, frontier, prepare_scenario, \
-    simulate_schedule
+from shardsim import Scenario, Strategy, calibrate, frontier, \
+    prepare_scenario, run_scenario, simulate_schedule
 from shardsim.cli import run
 
 # The `sweep` CSV over the benchmark's sweep-wide matrix.
@@ -122,6 +123,13 @@ SIMULATE_SHA256 = {
 TRACE_SHA256 = \
     "c51847ee263b1cb2b38df922250d7a900abce43e9f7c04b1f76643b2a82b8bef"
 
+# repr() of calibrate() on the two published 5B points, and on three points
+# the simulator generated at efficiency 0.30, latency scale 4.0.
+CALIBRATE_5B_SHA256 = \
+    "54b15c6ca3d27434d9aefd85e17dba1ee1c2ae2b6092921672ee1fbe8fcb852e"
+CALIBRATE_ROUND_TRIP_SHA256 = \
+    "173cdf8b4274d09bc26f31c0b9560660bc8816e131b4a1a1a97c7d872c29fdab"
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -159,3 +167,23 @@ def test_event_trace_rows():
     schedule, _, spec = prepare_scenario(scenario, frontier(1))
     rows = simulate_schedule(schedule, spec).to_json_rows()
     assert sha256(json.dumps(rows)) == TRACE_SHA256
+
+
+def test_calibrate_published_5b():
+    observations = [(Scenario("mae-5b", Strategy.hybrid(2), 32), 1509.0),
+                    (Scenario("mae-5b", Strategy.full_shard(), 32), 1307.0)]
+    fitted = calibrate(observations, frontier(1))
+    assert sha256(repr(fitted)) == CALIBRATE_5B_SHA256
+
+
+def test_calibrate_round_trip():
+    spec = frontier(1)
+    scenarios = (Scenario("mae-base", Strategy.no_shard(), 1),
+                 Scenario("mae-3b", Strategy.no_shard(), 64),
+                 Scenario("mae-base", Strategy.full_shard(), 8))
+    observations = [
+        (s, run_scenario(s, spec, compute_efficiency=0.30,
+                         latency_scale=4.0).images_per_second)
+        for s in scenarios]
+    fitted = calibrate(observations, spec)
+    assert sha256(repr(fitted)) == CALIBRATE_ROUND_TRIP_SHA256
