@@ -16,7 +16,7 @@ from shardsim import (
     build_units,
     frontier,
     make_plan,
-    simulate_schedule,
+    simulate_step,
     step_schedule,
 )
 
@@ -42,7 +42,7 @@ plan = step = None
 for mode in ("none", "backward-post", "backward-pre"):
     plan = make_plan(units, Strategy.full_shard(), spec)
     sched = step_schedule(plan, PrefetchPolicy(mode=mode), local_batch=32)
-    trace = simulate_schedule(sched, spec)
+    trace, _ = simulate_step(sched, spec)
     print(f"  {mode:<14} makespan {trace.makespan*1e3:8.2f} ms")
 print("backward-pre issues the next unit's gather before the current backward")
 print("compute, hiding it; with no prefetch each gather waits for the previous")
@@ -55,7 +55,7 @@ for max_inflight in (1, 2, 4):
         make_plan(units, Strategy.full_shard(), spec),
         PrefetchPolicy(limit_all_gathers=True, max_inflight=max_inflight),
         local_batch=32)
-    trace = simulate_schedule(sched, spec)
+    trace, _ = simulate_step(sched, spec)
     print(f"  max_inflight={max_inflight}: makespan {trace.makespan*1e3:8.2f} ms")
 print()
 

@@ -53,10 +53,8 @@ from .engine import (
     SweepRow,
     SweepTable,
     calibrate,
-    comm_fraction,
     prepare_scenario,
     run_scenario,
-    simulate_schedule,
     simulate_step,
     sweep,
 )

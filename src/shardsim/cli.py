@@ -27,6 +27,13 @@ ENV_OUTPUT_DIR = "SHARDSIM_OUTPUT_DIR"
 
 FORMATS = ("pretty-table", "json", "csv")
 
+# Every field a run config may set: the `properties` of
+# docs/runconfig.schema.json, and the dest of every flag a config can default.
+CONFIG_FIELDS = ("model", "cluster", "strategy", "nodes", "local_batch",
+                 "prefetch", "limit_all_gathers", "max_inflight", "io_rate",
+                 "efficiency", "latency_scale", "strategies",
+                 "activation_model", "observations")
+
 
 class CLIError(Exception):
     def __init__(self, field: str, message: str) -> None:
@@ -50,6 +57,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         config = _load_json(args.config, "config")
         if not isinstance(config, dict):
             raise CLIError("config", "run config must be a JSON object")
+        for key in config:
+            if key not in CONFIG_FIELDS:
+                raise CLIError("config", f"unknown field {key!r}")
     return config
 
 
@@ -143,10 +153,14 @@ def _resolve_policy(args, config) -> PrefetchPolicy:
     limit = _pick(args, config, "limit_all_gathers", True)
     inflight = _pick(args, config, "max_inflight", 2, parse=int)
     try:
-        return PrefetchPolicy(mode=mode, limit_all_gathers=bool(limit),
-                              max_inflight=inflight)
+        policy = PrefetchPolicy(mode=mode)
     except ConfigError as exc:
         raise CLIError("prefetch", str(exc))
+    try:
+        return replace(policy, limit_all_gathers=bool(limit),
+                       max_inflight=inflight)
+    except ConfigError as exc:
+        raise CLIError("max_inflight", str(exc))
 
 
 def _io_model(args, config) -> IoModel | None:
@@ -219,19 +233,25 @@ def _cmd_params(args) -> str:
     return _format_kv(rows, args.format)
 
 
-def _cmd_memory(args) -> str:
-    config = _merge_config(args)
-    model_value = _pick(args, config, "model")
-    model = _resolve_model(model_value)
+def _scenario_from(args, config) -> tuple[Scenario, ClusterSpec]:
+    """The one scenario builder of `memory`, `schedule` and `simulate`."""
+    model = _resolve_model(_pick(args, config, "model"))
     strategy = _resolve_strategy(_pick(args, config, "strategy"))
     nodes = _pick(args, config, "nodes", 1, parse=_count)
     cluster = _resolve_cluster(_pick(args, config, "cluster"), nodes)
     batch = _pick(args, config, "local_batch", 32, parse=_count)
+    policy = _resolve_policy(args, config)
+    scenario = Scenario(model=model, strategy=strategy, nodes=nodes,
+                        local_batch=batch, policy=policy)
+    return scenario, cluster
+
+
+def _cmd_memory(args) -> str:
+    config = _merge_config(args)
+    scenario, cluster = _scenario_from(args, config)
     activation_model = _pick(args, config, "activation_model", CHECKPOINTED)
     if activation_model not in (CHECKPOINTED, FULL_CACHE):
         raise CLIError("activation_model", f"unknown model {activation_model!r}")
-    scenario = Scenario(model=model if not isinstance(model_value, str) else model_value,
-                        strategy=strategy, nodes=nodes, local_batch=batch)
     try:
         _, memory, _ = prepare_scenario(scenario, cluster, activation_model)
     except TopologyError as exc:
@@ -253,16 +273,7 @@ def _cmd_memory(args) -> str:
 
 def _cmd_schedule(args) -> str:
     config = _merge_config(args)
-    model_value = _pick(args, config, "model")
-    model = _resolve_model(model_value)
-    strategy = _resolve_strategy(_pick(args, config, "strategy"))
-    nodes = _pick(args, config, "nodes", 1, parse=_count)
-    cluster = _resolve_cluster(_pick(args, config, "cluster"), nodes)
-    batch = _pick(args, config, "local_batch", 32, parse=_count)
-    policy = _resolve_policy(args, config)
-    scenario = Scenario(model=model if not isinstance(model_value, str) else model_value,
-                        strategy=strategy, nodes=nodes, local_batch=batch,
-                        policy=policy)
+    scenario, cluster = _scenario_from(args, config)
     try:
         schedule, _, _ = prepare_scenario(scenario, cluster)
     except TopologyError as exc:
@@ -270,24 +281,10 @@ def _cmd_schedule(args) -> str:
     return schedule.to_json(indent=2)
 
 
-def _scenario_from(args, config) -> tuple[Scenario, ClusterSpec, IoModel | None]:
-    model_value = _pick(args, config, "model")
-    model = _resolve_model(model_value)
-    strategy = _resolve_strategy(_pick(args, config, "strategy"))
-    nodes = _pick(args, config, "nodes", 1, parse=_count)
-    cluster = _resolve_cluster(_pick(args, config, "cluster"), nodes)
-    batch = _pick(args, config, "local_batch", 32, parse=_count)
-    policy = _resolve_policy(args, config)
-    io = _io_model(args, config)
-    scenario = Scenario(model=model if not isinstance(model_value, str) else model_value,
-                        strategy=strategy, nodes=nodes, local_batch=batch,
-                        policy=policy)
-    return scenario, cluster, io
-
-
 def _cmd_simulate(args) -> str:
     config = _merge_config(args)
-    scenario, cluster, io = _scenario_from(args, config)
+    scenario, cluster = _scenario_from(args, config)
+    io = _io_model(args, config)
     cluster = _with_efficiency(args, config, cluster)
     latency_scale = _pick(args, config, "latency_scale", 1.0, parse=float)
     try:

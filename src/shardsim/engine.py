@@ -7,6 +7,9 @@ Resources are the rank's compute stream plus one communication stream per
 its resource is idle, lowest task id first.  There is no randomness anywhere,
 so identical inputs produce identical traces.
 
+`simulate_step` is the one simulate entry point: it returns the event trace
+and the step metrics of one simulation together.
+
 The input stage is modeled as a pipelined source: in steady state the step
 time is max(simulated makespan, local_batch / io_rate); it never adds.
 """
@@ -53,19 +56,26 @@ class Event:
 
 @dataclass(frozen=True)
 class EventTrace:
-    events: tuple[Event, ...]
+    """Start and end time of every task, by task id, with the name of the
+    resource it ran on; `Event`s are built only when read."""
+
+    start: list[float]
+    end: list[float]
+    resources: list[str]
 
     @property
     def makespan(self) -> float:
-        return max((e.end for e in self.events), default=0.0)
+        return max(self.end, default=0.0)
 
-    def events_for(self, task_ids) -> list[Event]:
-        wanted = set(task_ids)
-        return [e for e in self.events if e.task_id in wanted]
+    @property
+    def events(self) -> tuple[Event, ...]:
+        return tuple(map(Event, range(len(self.end)), self.start, self.end,
+                         self.resources))
 
     def to_json_rows(self) -> list[dict]:
-        return [{"task": e.task_id, "start": e.start, "end": e.end,
-                 "resource": e.resource} for e in self.events]
+        return [{"task": tid, "start": start, "end": end, "resource": resource}
+                for tid, (start, end, resource)
+                in enumerate(zip(self.start, self.end, self.resources))]
 
 
 @dataclass(frozen=True)
@@ -124,13 +134,11 @@ class _CompiledSchedule:
                 t.kind, t.bytes, len(group), channel)
         self.n_resources = len(streams) + 1
 
-    def durations(self, effective_flops: float, latency_scale: float,
-                  zero_comm: bool) -> list[float]:
+    def durations(self, effective_flops: float,
+                  latency_scale: float) -> list[float]:
         if not (math.isfinite(latency_scale) and latency_scale > 0):
             raise ConfigError("latency_scale: must be a finite number > 0, "
                               f"got {latency_scale!r}")
-        if zero_comm:
-            return [f / effective_flops if f else 0.0 for f in self.flops]
         return [
             f / effective_flops if f else w + lat * latency_scale
             for f, w, lat in zip(self.flops, self.wire, self.latency)
@@ -206,51 +214,25 @@ class _CompiledSchedule:
                 "schedule contains unreachable tasks (dependency cycle)")
         return start, end
 
-    def trace(self, schedule: StepSchedule, start: list[float],
-               end: list[float]) -> EventTrace:
-        names = self.names
-        return EventTrace(events=tuple(
-            Event(t.id, start[t.id], end[t.id], names[t.id])
-            for t in schedule.tasks))
-
-
-def simulate_schedule(schedule: StepSchedule, cluster: ClusterSpec,
-                      latency_scale: float = 1.0,
-                      zero_comm: bool = False) -> EventTrace:
-    """Simulate the DAG on its resources and return the full event trace."""
-    compiled = _CompiledSchedule(schedule, cluster)
-    durations = compiled.durations(cluster.effective_flops_per_gpu,
-                                   latency_scale, zero_comm)
-    start, end = compiled.run(durations)
-    return compiled.trace(schedule, start, end)
-
-
-def _simulate(schedule: StepSchedule, cluster: ClusterSpec,
-              latency_scale: float):
-    """One simulation of `schedule`: the compiled schedule, start and end
-    times, makespan, compute seconds, and exposed communication seconds."""
-    compiled = _CompiledSchedule(schedule, cluster)
-    durations = compiled.durations(cluster.effective_flops_per_gpu,
-                                   latency_scale, False)
-    start, end = compiled.run(durations)
-    makespan = max(end, default=0.0)
-    compute = compiled.compute_seconds(durations)
-    return compiled, start, end, makespan, compute, max(0.0, makespan - compute)
-
 
 def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
                   io: IoModel | None = None, latency_scale: float = 1.0,
                   memory: MemoryBreakdown | None = None
                   ) -> tuple[EventTrace, StepMetrics]:
-    """Simulate one step and derive throughput metrics.
+    """Simulate one step; return its event trace and throughput metrics.
 
     Exposed communication is the makespan minus the summed compute time: the
     compute stream is a single dependency chain, so that sum is exactly the
     makespan of the step with every collective at zero duration.
     """
-    compiled, start, end, synthetic, compute_seconds, exposed = _simulate(
-        schedule, cluster, latency_scale)
-    trace = compiled.trace(schedule, start, end)
+    compiled = _CompiledSchedule(schedule, cluster)
+    durations = compiled.durations(cluster.effective_flops_per_gpu,
+                                   latency_scale)
+    start, end = compiled.run(durations)
+    trace = EventTrace(start, end, compiled.names)
+    synthetic = trace.makespan
+    compute_seconds = compiled.compute_seconds(durations)
+    exposed = max(0.0, synthetic - compute_seconds)
     fraction = exposed / synthetic if synthetic > 0 else 0.0
 
     io_seconds = 0.0
@@ -272,18 +254,11 @@ def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
     return trace, metrics
 
 
-def comm_fraction(schedule: StepSchedule, cluster: ClusterSpec,
-                  latency_scale: float = 1.0) -> float:
-    """Fraction of the step lost to communication: exposed comm / makespan."""
-    _, _, _, makespan, _, exposed = _simulate(schedule, cluster, latency_scale)
-    return exposed / makespan if makespan > 0 else 0.0
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """One simulated configuration: model preset, strategy, and node count."""
+    """One simulated configuration: model, strategy, and node count."""
 
-    model: str
+    model: str | ViTConfig | MAEConfig
     strategy: Strategy
     nodes: int
     local_batch: int = 32
@@ -316,10 +291,9 @@ def prepare_scenario(scenario: Scenario, cluster: ClusterSpec,
 def run_scenario(scenario: Scenario, cluster: ClusterSpec,
                  io: IoModel | None = None,
                  compute_efficiency: float | None = None,
-                 latency_scale: float = 1.0,
-                 activation_model: str = CHECKPOINTED) -> StepMetrics:
+                 latency_scale: float = 1.0) -> StepMetrics:
     """Simulate one scenario end to end and return its metrics."""
-    sched, mem, spec = prepare_scenario(scenario, cluster, activation_model)
+    sched, mem, spec = prepare_scenario(scenario, cluster)
     if compute_efficiency is not None:
         spec = replace(spec, compute_efficiency=compute_efficiency)
     _, metrics = simulate_step(sched, spec, io=io, latency_scale=latency_scale,
@@ -385,8 +359,7 @@ class SweepTable:
 
 def sweep(models, strategies, node_counts, cluster: ClusterSpec,
           policy: PrefetchPolicy | None = None, local_batch: int = 32,
-          io: IoModel | None = None, compute_efficiency: float | None = None,
-          latency_scale: float = 1.0) -> SweepTable:
+          io: IoModel | None = None, latency_scale: float = 1.0) -> SweepTable:
     """Weak-scaling sweep: one row per (model, strategy, node count).
 
     Strategies that cannot be built at a node count produce a row marked
@@ -405,10 +378,8 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
                 scenario = Scenario(model=model, strategy=strategy, nodes=nodes,
                                     local_batch=local_batch, policy=policy)
                 try:
-                    metrics = run_scenario(
-                        scenario, cluster, io=io,
-                        compute_efficiency=compute_efficiency,
-                        latency_scale=latency_scale)
+                    metrics = run_scenario(scenario, cluster, io=io,
+                                           latency_scale=latency_scale)
                 except TopologyError:
                     metrics = None
                 measured.append((nodes, metrics))
@@ -491,7 +462,7 @@ def calibrate(observations, cluster: ClusterSpec,
     def loss(efficiency: float, scale: float) -> float:
         total = 0.0
         for compiled, peak, global_batch, measured in prepared:
-            durations = compiled.durations(peak * efficiency, scale, False)
+            durations = compiled.durations(peak * efficiency, scale)
             _, end = compiled.run(durations)
             ips = global_batch / max(end)
             total += ((ips - measured) / measured) ** 2

@@ -316,9 +316,6 @@ class StepSchedule:
         return [t for t in self.tasks
                 if t.kind in (ALL_GATHER, REDUCE_SCATTER, ALL_REDUCE)]
 
-    def total_compute_flops(self) -> float:
-        return sum(t.flops for t in self.tasks if t.kind == COMPUTE)
-
     def to_json(self, indent: int | None = None) -> str:
         payload = {
             "strategy": self.strategy.label,

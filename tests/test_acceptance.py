@@ -30,7 +30,7 @@ from shardsim import (
     memory_footprint,
     reference_report,
     run_scenario,
-    simulate_schedule,
+    simulate_step,
     step_schedule,
     sweep,
 )
@@ -173,7 +173,7 @@ def test_criterion_4_schedule_properties():
         strict = PrefetchPolicy(mode=policy.mode, limit_all_gathers=True,
                                 max_inflight=1)
         strict_schedule = step_schedule(plan, strict, local_batch=1)
-        trace = simulate_schedule(strict_schedule, spec)
+        trace, _ = simulate_step(strict_schedule, spec)
         gathers = sorted((e for e in trace.events
                           if strict_schedule.tasks[e.task_id].kind == "all-gather"),
                          key=lambda e: (e.start, e.end))
@@ -200,7 +200,7 @@ def test_criterion_5_oracle_equivalence():
         spec = frontier(rng.choice((1, 2, 4)))
         plan = make_plan(units, Strategy.full_shard(), spec)
         schedule = step_schedule(plan, policy, local_batch=1)
-        simulated = simulate_schedule(schedule, spec).makespan
+        simulated = simulate_step(schedule, spec)[0].makespan
         closed = sum(t.flops / spec.effective_flops_per_gpu
                      for t in schedule.tasks if t.kind == "compute")
         closed += sum(collective_time(CollectiveCall(t.kind, t.bytes, t.group), spec)

@@ -1,9 +1,14 @@
+import argparse
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from shardsim import SweepTable
-from shardsim.cli import run
+from shardsim import SweepTable, get_model
+from shardsim.cli import CONFIG_FIELDS, _build_parser, run
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "runconfig.schema.json"
 
 
 def invoke(capsys, *argv):
@@ -211,6 +216,42 @@ class TestConfigFile:
         assert code == 0
         assert float(json.loads(out)["images_per_second"]) > 0
 
+    @pytest.mark.parametrize("command", ["memory", "schedule", "simulate"])
+    def test_inline_copy_of_preset_matches_preset(self, capsys, tmp_path,
+                                                  command):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": asdict(get_model("vit-base"))}))
+        run_args = ("--strategy", "hybrid8", "--nodes", "2", "--format", "json")
+        code, inline, err = invoke(capsys, command, "--config", str(path),
+                                   *run_args)
+        assert code == 0, err
+        code, preset, err = invoke(capsys, command, "--model", "vit-base",
+                                   *run_args)
+        assert code == 0, err
+        assert inline == preset
+
+    def test_unknown_field_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": "vit-base", "strategy": "full",
+                                    "nodez": 4}))
+        code, out, err = invoke(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: config: unknown field 'nodez'\n"
+
+    def test_config_fields_match_schema(self):
+        schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
+        assert sorted(CONFIG_FIELDS) == sorted(schema["properties"])
+
+    def test_every_flag_is_a_config_field(self):
+        subparsers = next(action for action in _build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        for command, parser in subparsers.choices.items():
+            for action in parser._actions:
+                if action.dest in ("help", "config", "format", "output"):
+                    continue
+                assert action.dest in CONFIG_FIELDS, (command, action.dest)
+
 
 class TestFlagValues:
     RUN = ("--model", "vit-base", "--strategy", "no-shard")
@@ -277,6 +318,13 @@ class TestFlagValues:
         code, _, err = invoke(capsys, command, *self.RUN, "--local-batch", "0")
         assert code == 2
         assert err.startswith("error: local_batch:")
+
+    @pytest.mark.parametrize("command", ["memory", "schedule", "simulate"])
+    def test_zero_max_inflight_names_field(self, capsys, command):
+        code, _, err = invoke(capsys, command, "--model", "vit-base",
+                              "--strategy", "full", "--max-inflight", "0")
+        assert code == 2
+        assert err.startswith("error: max_inflight:")
 
     @pytest.mark.parametrize("scale", ["-5", "0", "nan", "inf"])
     def test_bad_latency_scale_names_field(self, capsys, scale):

@@ -1,6 +1,7 @@
 import heapq
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,10 @@ from shardsim import (
     build_units,
     calibrate,
     collective_time,
-    comm_fraction,
     frontier,
     get_model,
     make_plan,
     run_scenario,
-    simulate_schedule,
     simulate_step,
     step_schedule,
 )
@@ -43,6 +42,12 @@ META = dict(strategy=Strategy.no_shard(), policy=PrefetchPolicy(),
 
 def manual_schedule(tasks):
     return StepSchedule(tasks=tuple(tasks), **META)
+
+
+def without_comm(sched):
+    """`sched` with every collective moving 0 bytes: its makespan is the
+    step's makespan with every collective at zero duration."""
+    return replace(sched, tasks=tuple(replace(t, bytes=0) for t in sched.tasks))
 
 
 class TestSimulateStep:
@@ -111,8 +116,8 @@ class TestDeterminism:
             make_plan(build_units(get_model("mae-base"), 4),
                       Strategy.hybrid(4), frontier(2)),
             PrefetchPolicy(), local_batch=4)
-        t1 = simulate_schedule(sched, frontier(2), latency_scale=2.5)
-        t2 = simulate_schedule(sched, frontier(2), latency_scale=2.5)
+        t1, _ = simulate_step(sched, frontier(2), latency_scale=2.5)
+        t2, _ = simulate_step(sched, frontier(2), latency_scale=2.5)
         assert t1 == t2
 
 
@@ -122,7 +127,7 @@ class TestTraceValidity:
             make_plan(build_units(get_model("mae-base"), 4),
                       Strategy.hybrid(4), frontier(2)),
             PrefetchPolicy(), local_batch=4)
-        return simulate_schedule(sched, frontier(2)), sched
+        return simulate_step(sched, frontier(2))[0], sched
 
     def test_no_overlap_on_any_resource(self):
         trace, _ = self.trace_and_schedule()
@@ -168,8 +173,8 @@ class TestOracle:
                          Strategy.hybrid(4)):
             sched = step_schedule(make_plan(units, strategy, spec),
                                   PrefetchPolicy(), local_batch=4)
-            makespans.add(round(simulate_schedule(sched, spec, zero_comm=True)
-                                .makespan, 15))
+            trace, _ = simulate_step(without_comm(sched), spec)
+            makespans.add(round(trace.makespan, 15))
         assert len(makespans) == 1
 
     def test_serial_schedule_equals_closed_form(self):
@@ -179,7 +184,7 @@ class TestOracle:
         plan = make_plan(units, Strategy.full_shard(), spec)
         sched = step_schedule(
             plan, PrefetchPolicy(mode="none", max_inflight=1), local_batch=2)
-        simulated = simulate_schedule(sched, spec).makespan
+        simulated = simulate_step(sched, spec)[0].makespan
         closed = sum(t.flops / spec.effective_flops_per_gpu
                      for t in sched.tasks if t.kind == "compute")
         closed += sum(
@@ -298,11 +303,12 @@ class TestZeroCommIdentity:
             plan, PrefetchPolicy(mode=prefetch, limit_all_gathers=limit),
             local_batch=4)
         trace, metrics = simulate_step(sched, spec)
-        zero = simulate_schedule(sched, spec, zero_comm=True).makespan
-        assert zero == metrics.compute_seconds
+        zero, _ = simulate_step(without_comm(sched), spec)
+        assert zero.makespan == metrics.compute_seconds
         assert metrics.comm_seconds_exposed == \
             max(0.0, trace.makespan - metrics.compute_seconds)
-        assert comm_fraction(sched, spec) == metrics.comm_fraction
+        assert metrics.comm_fraction == \
+            metrics.comm_seconds_exposed / trace.makespan
 
 
 class TestBadScales:
@@ -312,9 +318,6 @@ class TestBadScales:
     def test_latency_scale_rejected(self, scale):
         with pytest.raises(ConfigError, match="latency_scale"):
             simulate_step(self.SCHED, LAB, latency_scale=scale)
-        with pytest.raises(ConfigError, match="latency_scale"):
-            simulate_schedule(self.SCHED, LAB, latency_scale=scale,
-                              zero_comm=True)
 
     @pytest.mark.parametrize("rate", (0.0, -1.0, math.nan, math.inf))
     def test_io_rate_rejected(self, rate):
@@ -328,7 +331,8 @@ class TestCommFraction:
             Task(0, "compute", "a", "forward", flops=1e9),
             Task(1, "all-reduce", "a", "backward", bytes=0, group=range(2), deps=(0,)),
         ])
-        assert comm_fraction(sched, LAB) == 0.0
+        _, metrics = simulate_step(sched, LAB)
+        assert metrics.comm_fraction == 0.0
 
     def test_nondecreasing_in_node_count(self):
         fractions = []
@@ -347,7 +351,7 @@ class TestInflightLimit:
         sched = step_schedule(
             plan, PrefetchPolicy(mode="backward-pre", max_inflight=1),
             local_batch=4)
-        trace = simulate_schedule(sched, spec)
+        trace, _ = simulate_step(sched, spec)
         gathers = sorted(
             (e for e in trace.events
              if sched.tasks[e.task_id].kind == "all-gather"),

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from shardsim import Scenario, Strategy, calibrate, frontier, \
-    prepare_scenario, run_scenario, simulate_schedule
+    prepare_scenario, run_scenario, simulate_step
 from shardsim.cli import run
 
 # The `sweep` CSV over the benchmark's sweep-wide matrix.
@@ -119,7 +119,7 @@ SIMULATE_SHA256 = {
         "756c8a1650c162ccc7e6b2afd4c684e5e51bb811f3bafbb2d7e24f1efcc2c3c6",
 }
 
-# simulate_schedule(...).to_json_rows() of vit-base hybrid8 on 2 nodes.
+# simulate_step(...)[0].to_json_rows() of vit-base hybrid8 on 2 nodes.
 TRACE_SHA256 = \
     "c51847ee263b1cb2b38df922250d7a900abce43e9f7c04b1f76643b2a82b8bef"
 
@@ -165,7 +165,7 @@ def test_event_trace_rows():
     scenario = Scenario(model="vit-base", strategy=Strategy.parse("hybrid8"),
                         nodes=2)
     schedule, _, spec = prepare_scenario(scenario, frontier(1))
-    rows = simulate_schedule(schedule, spec).to_json_rows()
+    rows = simulate_step(schedule, spec)[0].to_json_rows()
     assert sha256(json.dumps(rows)) == TRACE_SHA256
 
 
