@@ -64,7 +64,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _typed(field: str, value, parse):
-    if value is None or parse is None:
+    if parse is None:
         return value
     try:
         return parse(value)
@@ -77,9 +77,12 @@ def _pick(args: argparse.Namespace, config: dict, field: str, default=None,
     """Flag wins over config; both set and conflicting is an error.
 
     `parse` types both sources before they are compared (a flag may arrive as
-    text, a config value as a number); a value it rejects names the field.
+    text, a config value as a number); a value it rejects, a config null
+    included, names the field.
     """
-    flag = _typed(field, getattr(args, field.replace("-", "_"), None), parse)
+    flag = getattr(args, field.replace("-", "_"), None)
+    if flag is not None:
+        flag = _typed(field, flag, parse)
     if field not in config:
         return default if flag is None else flag
     value = _typed(field, config[field], parse)
@@ -94,6 +97,13 @@ def _count(value) -> int:
     if number < 1:
         raise ValueError(f"count must be >= 1, got {number}")
     return number
+
+
+def _boolean(value) -> bool:
+    """A JSON boolean; text such as "false" is not one."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a boolean, got {value!r}")
+    return value
 
 
 def _count_list(value) -> list[int]:
@@ -150,14 +160,14 @@ def _resolve_strategy(value, field: str = "strategy") -> Strategy:
 
 def _resolve_policy(args, config) -> PrefetchPolicy:
     mode = _pick(args, config, "prefetch", "backward-pre")
-    limit = _pick(args, config, "limit_all_gathers", True)
+    limit = _pick(args, config, "limit_all_gathers", True, parse=_boolean)
     inflight = _pick(args, config, "max_inflight", 2, parse=int)
     try:
         policy = PrefetchPolicy(mode=mode)
     except ConfigError as exc:
         raise CLIError("prefetch", str(exc))
     try:
-        return replace(policy, limit_all_gathers=bool(limit),
+        return replace(policy, limit_all_gathers=limit,
                        max_inflight=inflight)
     except ConfigError as exc:
         raise CLIError("max_inflight", str(exc))
@@ -366,12 +376,11 @@ def _cmd_calibrate(args) -> str:
             raise CLIError(field, "each entry needs scenario fields and measured_ips")
         try:
             scenario = Scenario(
-                model=entry["model"],
+                model=_resolve_model(entry["model"], field),
                 strategy=Strategy.parse(entry["strategy"]),
                 nodes=_count(entry["nodes"]),
                 local_batch=_count(entry.get("local_batch", 32)),
             )
-            _resolve_model(entry["model"], field)
             measured = float(entry["measured_ips"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CLIError(field, str(exc))

@@ -438,8 +438,14 @@ def calibrate(observations, cluster: ClusterSpec,
 
     Grid search plus local refinement, minimizing the sum of squared relative
     throughput errors.  Schedules are built once per scenario and re-timed for
-    every candidate, so the search stays cheap.  The residual of the best fit
+    every candidate, so the search stays cheap.  A candidate stops being
+    simulated as soon as its partial sum reaches the best loss so far: the
+    terms are non-negative, so it could never win, and the result is the one
+    a full evaluation of every candidate gives.  The residual of the best fit
     is part of the result, never hidden.
+
+    Each measured ips must be finite and > 0, each efficiency in (0, 1] and
+    each latency scale finite and > 0; a bad value raises `ConfigError`.
     """
     observations = list(observations)
     if len(observations) < 2:
@@ -449,34 +455,46 @@ def calibrate(observations, cluster: ClusterSpec,
         warnings.warn("calibration observations all describe the same scenario; "
                       "the fit is ill-posed", UserWarning, stacklevel=2)
 
+    eff_grid = [float(e) for e in efficiency_grid] \
+        if efficiency_grid is not None else _linspace(0.05, 1.0, 20)
+    scale_grid = [float(s) for s in latency_scale_grid] \
+        if latency_scale_grid is not None else _geomspace(0.25, 32.0, 15)
+    if not eff_grid or not all(0 < e <= 1 for e in eff_grid):
+        raise ConfigError("efficiency_grid: values must lie in (0, 1], "
+                          f"got {eff_grid!r}")
+    if not scale_grid or not all(math.isfinite(s) and s > 0
+                                 for s in scale_grid):
+        raise ConfigError("latency_scale_grid: values must be finite "
+                          f"numbers > 0, got {scale_grid!r}")
+
     prepared = []
-    for scenario, measured in observations:
-        if measured <= 0:
-            raise ConfigError("measured ips must be > 0")
+    for i, (scenario, measured) in enumerate(observations):
+        measured = float(measured)
+        if not (math.isfinite(measured) and measured > 0):
+            raise ConfigError(f"observations[{i}]: measured ips must be a "
+                              f"finite number > 0, got {measured!r}")
         sched, _, spec = prepare_scenario(scenario, cluster)
         compiled = _CompiledSchedule(sched, spec)
         global_batch = sched.world * sched.local_batch
         prepared.append((compiled, spec.peak_flops_per_gpu, global_batch,
-                         float(measured)))
+                         measured))
 
-    def loss(efficiency: float, scale: float) -> float:
+    def loss(efficiency: float, scale: float, bound: float) -> float:
+        """The loss, or a partial sum >= `bound` once it reaches `bound`."""
         total = 0.0
         for compiled, peak, global_batch, measured in prepared:
+            if total >= bound:
+                return total
             durations = compiled.durations(peak * efficiency, scale)
             _, end = compiled.run(durations)
             ips = global_batch / max(end)
             total += ((ips - measured) / measured) ** 2
         return total
 
-    eff_grid = [float(e) for e in efficiency_grid] \
-        if efficiency_grid is not None else _linspace(0.05, 1.0, 20)
-    scale_grid = [float(s) for s in latency_scale_grid] \
-        if latency_scale_grid is not None else _geomspace(0.25, 32.0, 15)
-
     best = (float("inf"), eff_grid[0], scale_grid[0])
     for e in eff_grid:
         for s in scale_grid:
-            value = loss(e, s)
+            value = loss(e, s, best[0])
             if value < best[0]:
                 best = (value, e, s)
 
@@ -489,7 +507,7 @@ def calibrate(observations, cluster: ClusterSpec,
         scale_grid = _geomspace(s0 / s_width, s0 * s_width, 9)
         for e in eff_grid:
             for s in scale_grid:
-                value = loss(e, s)
+                value = loss(e, s, best[0])
                 if value < best[0]:
                     best = (value, e, s)
         e_step /= 4.0

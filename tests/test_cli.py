@@ -167,6 +167,22 @@ class TestCalibrateCommand:
         assert payload["effective_latency_scale"] > 0
         assert payload["residual"] >= 0
 
+    def test_inline_model_fits(self, capsys, tmp_path):
+        model = {"width": 64, "depth": 2, "mlp": 256, "heads": 2,
+                 "patch_size": 16, "image_size": 224}
+        obs = [{"model": model, "strategy": "full", "nodes": 1,
+                "measured_ips": 5000.0},
+               {"model": model, "strategy": "full", "nodes": 4,
+                "measured_ips": 15000.0}]
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(obs))
+        code, out, err = invoke(capsys, "calibrate", "--observations", str(path))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert 0 < payload["compute_efficiency"] <= 1
+        assert payload["effective_latency_scale"] > 0
+        assert payload["residual"] >= 0
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "obs.json"
         path.write_text("{not json")
@@ -290,6 +306,12 @@ class TestFlagValues:
         assert code == 2
         assert err.startswith("error: nodes:")
 
+    def test_null_node_count_in_config_names_field(self, capsys, tmp_path):
+        config = self.write(tmp_path, {"nodes": None})
+        code, _, err = invoke(capsys, "simulate", *self.RUN, "--config", config)
+        assert code == 2
+        assert err == "error: nodes: invalid value None\n"
+
     @pytest.mark.parametrize("flag,field", [("--efficiency", "efficiency"),
                                             ("--io-rate", "io_rate")])
     def test_zero_simulate_value_is_rejected(self, capsys, flag, field):
@@ -362,6 +384,38 @@ class TestFlagValues:
         code, _, err = invoke(capsys, "calibrate", "--observations", str(path))
         assert code == 2
         assert err.startswith("error: observations[0]:")
+
+    @pytest.mark.parametrize("measured", ["nan", "inf", 0, -5])
+    def test_bad_measured_ips_names_entry(self, capsys, tmp_path, measured):
+        entry = {"model": "vit-base", "strategy": "full", "nodes": 1,
+                 "measured_ips": 1000.0}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([entry, {**entry, "nodes": 2,
+                                            "measured_ips": measured}]))
+        code, out, err = invoke(capsys, "calibrate", "--observations", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: observations[1]: measured ips")
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_boolean_limit_all_gathers_names_field(self, capsys, tmp_path,
+                                                       value):
+        config = self.write(tmp_path, {"limit_all_gathers": value})
+        code, out, err = invoke(capsys, "schedule", *self.RUN, "--config",
+                                config)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: limit_all_gathers:")
+
+    def test_boolean_limit_all_gathers_matches_flag(self, capsys, tmp_path):
+        config = self.write(tmp_path, {"limit_all_gathers": False})
+        code, out, err = invoke(capsys, "schedule", *self.RUN, "--config",
+                                config)
+        assert code == 0, err
+        assert json.loads(out)["prefetch"]["limit_all_gathers"] is False
+        _, flag, _ = invoke(capsys, "schedule", *self.RUN,
+                            "--no-limit-all-gathers")
+        assert out == flag
 
     @pytest.mark.parametrize("field", ["nodes", "local_batch"])
     def test_zero_observation_count_names_entry(self, capsys, tmp_path, field):

@@ -23,11 +23,13 @@ from shardsim import (
     frontier,
     get_model,
     make_plan,
+    prepare_scenario,
     run_scenario,
     simulate_step,
     step_schedule,
 )
-from shardsim.engine import _CompiledSchedule
+from shardsim.engine import CalibratedParams, _CompiledSchedule, _geomspace, \
+    _linspace
 
 warnings.simplefilter("ignore", UserWarning)
 
@@ -430,3 +432,150 @@ class TestCalibrate:
         ]
         fitted = calibrate(observations, spec, refinement_rounds=1)
         assert fitted.residual >= 0.0
+
+    TWO_POINTS = ((Scenario("vit-base", Strategy.no_shard(), 1), 500.0),
+                  (Scenario("vit-base", Strategy.no_shard(), 4), 1800.0))
+
+    @pytest.mark.parametrize("measured", (math.nan, math.inf, 0.0, -5.0))
+    def test_bad_measured_ips_names_observation(self, measured):
+        first, (scenario, _) = self.TWO_POINTS
+        with pytest.raises(ConfigError, match=r"observations\[1\]"):
+            calibrate([first, (scenario, measured)], frontier(1),
+                      refinement_rounds=0)
+
+    @pytest.mark.parametrize("grid", ([0.0, 0.5], [0.5, 1.5], [math.nan], []))
+    def test_efficiency_grid_outside_unit_interval_rejected(self, grid):
+        with pytest.raises(ConfigError, match="efficiency_grid"):
+            calibrate(self.TWO_POINTS, frontier(1), efficiency_grid=grid)
+
+    @pytest.mark.parametrize("grid", ([1.0, 0.0], [-1.0], [math.inf], []))
+    def test_bad_latency_scale_grid_rejected(self, grid):
+        with pytest.raises(ConfigError, match="latency_scale_grid"):
+            calibrate(self.TWO_POINTS, frontier(1), latency_scale_grid=grid)
+
+
+def reference_calibrate(observations, cluster, efficiency_grid,
+                        latency_scale_grid, refinement_rounds):
+    """`calibrate` without pruning: every candidate's loss is the full sum
+    over all observations, each from its own `simulate_step`; `calibrate`
+    must return exactly its result."""
+    prepared = [(prepare_scenario(scenario, cluster), measured)
+                for scenario, measured in observations]
+
+    def loss(efficiency, scale):
+        total = 0.0
+        for (sched, _, spec), measured in prepared:
+            _, metrics = simulate_step(
+                sched, replace(spec, compute_efficiency=efficiency),
+                latency_scale=scale)
+            total += ((metrics.images_per_second - measured) / measured) ** 2
+        return total
+
+    def scan(best, eff_grid, scale_grid):
+        for e in eff_grid:
+            for s in scale_grid:
+                value = loss(e, s)
+                if value < best[0]:
+                    best = (value, e, s)
+        return best
+
+    best = scan((float("inf"), efficiency_grid[0], latency_scale_grid[0]),
+                efficiency_grid, latency_scale_grid)
+    e_step = (efficiency_grid[-1] - efficiency_grid[0]) \
+        / max(len(efficiency_grid) - 1, 1)
+    s_width = (latency_scale_grid[-1] / latency_scale_grid[0]) \
+        ** (1 / max(len(latency_scale_grid) - 1, 1))
+    for _ in range(refinement_rounds):
+        _, e0, s0 = best
+        best = scan(best,
+                    [min(max(e, 1e-3), 1.0)
+                     for e in _linspace(e0 - e_step, e0 + e_step, 9)],
+                    _geomspace(s0 / s_width, s0 * s_width, 9))
+        e_step /= 4.0
+        s_width **= 0.25
+    return CalibratedParams(best[1], best[2], best[0])
+
+
+CALIBRATE_SCENARIOS = (
+    Scenario("vit-base", Strategy.no_shard(), 1, local_batch=4),
+    Scenario("vit-base", Strategy.full_shard(), 2, local_batch=4),
+    Scenario("vit-base", Strategy.hybrid(4), 1, local_batch=4),
+    Scenario("vit-base", Strategy.full_shard(), 1, local_batch=4),
+)
+
+
+@st.composite
+def calibration_problems(draw):
+    """2-3 vit-base observations on 3x3 grids.  Each measured ips is the
+    simulated ips at one grid point, often exact, so zero losses and ties
+    between candidates (which the strict `<` breaks) are common."""
+    efficiency_grid = sorted(draw(st.sets(
+        st.sampled_from((0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.0)),
+        min_size=3, max_size=3)))
+    scale_grid = sorted(draw(st.sets(
+        st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0, 16.0)),
+        min_size=3, max_size=3)))
+    true_eff = draw(st.sampled_from(efficiency_grid))
+    true_scale = draw(st.sampled_from(scale_grid))
+    scenarios = draw(st.lists(st.sampled_from(CALIBRATE_SCENARIOS),
+                              min_size=2, max_size=3, unique=True))
+    observations = []
+    for scenario in scenarios:
+        factor = draw(st.sampled_from((1.0, 1.0, 1.0, 0.5, 0.97, 1.1, 2.0)))
+        ips = run_scenario(scenario, frontier(1), compute_efficiency=true_eff,
+                           latency_scale=true_scale).images_per_second
+        observations.append((scenario, ips * factor))
+    rounds = draw(st.integers(0, 2))
+    return observations, efficiency_grid, scale_grid, rounds
+
+
+def count_simulations(monkeypatch):
+    """Count `_CompiledSchedule.run` calls from here on."""
+    calls = [0]
+    run = _CompiledSchedule.run
+
+    def counted(self, durations):
+        calls[0] += 1
+        return run(self, durations)
+
+    monkeypatch.setattr(_CompiledSchedule, "run", counted)
+    return calls
+
+
+class TestCalibratePruning:
+    @settings(max_examples=30, deadline=None)
+    @given(calibration_problems())
+    def test_matches_exhaustive_search(self, problem):
+        observations, efficiency_grid, scale_grid, rounds = problem
+        spec = frontier(1)
+        expected = reference_calibrate(observations, spec, efficiency_grid,
+                                       scale_grid, rounds)
+        fitted = calibrate(observations, spec, efficiency_grid=efficiency_grid,
+                           latency_scale_grid=scale_grid,
+                           refinement_rounds=rounds)
+        assert fitted == expected
+
+    def test_round_trip_simulates_nothing_after_coarse_grid(self, monkeypatch):
+        spec = frontier(1)
+        scenarios = (Scenario("mae-base", Strategy.no_shard(), 1),
+                     Scenario("mae-3b", Strategy.no_shard(), 64),
+                     Scenario("mae-base", Strategy.full_shard(), 8))
+        observations = [
+            (s, run_scenario(s, spec, compute_efficiency=0.30,
+                             latency_scale=4.0).images_per_second)
+            for s in scenarios]
+        calls = count_simulations(monkeypatch)
+        coarse = calibrate(observations, spec, refinement_rounds=0)
+        coarse_runs = calls[0]
+        fitted = calibrate(observations, spec)
+        assert coarse.residual == fitted.residual == 0.0
+        assert calls[0] == 2 * coarse_runs
+        assert coarse_runs < len(observations) * 20 * 15
+
+    def test_published_5b_simulates_less_than_exhaustive(self, monkeypatch):
+        observations = [(Scenario("mae-5b", Strategy.hybrid(2), 32), 1509.0),
+                        (Scenario("mae-5b", Strategy.full_shard(), 32), 1307.0)]
+        calls = count_simulations(monkeypatch)
+        calibrate(observations, frontier(1))
+        # Exhaustive: a 20 x 15 coarse grid and three 9 x 9 refinement grids.
+        assert calls[0] < len(observations) * (20 * 15 + 3 * 9 * 9)
