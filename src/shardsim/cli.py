@@ -27,12 +27,25 @@ ENV_OUTPUT_DIR = "SHARDSIM_OUTPUT_DIR"
 
 FORMATS = ("pretty-table", "json", "csv")
 
-# Every field a run config may set: the `properties` of
-# docs/runconfig.schema.json, and the dest of every flag a config can default.
-CONFIG_FIELDS = ("model", "cluster", "strategy", "nodes", "local_batch",
-                 "prefetch", "limit_all_gathers", "max_inflight", "io_rate",
-                 "efficiency", "latency_scale", "strategies",
-                 "activation_model", "observations")
+# Every field a run config may set, with the JSON types its value may take:
+# the `properties` of docs/runconfig.schema.json, and the dest of every flag a
+# config can default.  A JSON integer is also a number.
+CONFIG_FIELDS = {
+    "model": ("string", "object"),
+    "cluster": ("string", "object"),
+    "strategy": ("string",),
+    "nodes": ("integer",),
+    "local_batch": ("integer",),
+    "prefetch": ("string",),
+    "limit_all_gathers": ("boolean",),
+    "max_inflight": ("integer",),
+    "io_rate": ("number",),
+    "efficiency": ("number",),
+    "latency_scale": ("number",),
+    "strategies": ("string",),
+    "activation_model": ("string",),
+    "observations": ("string",),
+}
 
 
 class CLIError(Exception):
@@ -57,10 +70,26 @@ def _merge_config(args: argparse.Namespace) -> dict:
         config = _load_json(args.config, "config")
         if not isinstance(config, dict):
             raise CLIError("config", "run config must be a JSON object")
-        for key in config:
+        for key, value in config.items():
             if key not in CONFIG_FIELDS:
                 raise CLIError("config", f"unknown field {key!r}")
+            kind = _json_type(value)
+            allowed = CONFIG_FIELDS[key]
+            if kind not in allowed and not (kind == "integer"
+                                            and "number" in allowed):
+                raise CLIError(key, f"invalid value {value!r}")
     return config
+
+
+def _json_type(value) -> str:
+    """The JSON type of a value `json.load` returned."""
+    if isinstance(value, bool):     # before int: bool is an int subclass
+        return "boolean"
+    for kind, types in (("integer", int), ("number", float), ("string", str),
+                        ("object", dict), ("array", list)):
+        if isinstance(value, types):
+            return kind
+    return "null"
 
 
 def _typed(field: str, value, parse):
@@ -77,8 +106,7 @@ def _pick(args: argparse.Namespace, config: dict, field: str, default=None,
     """Flag wins over config; both set and conflicting is an error.
 
     `parse` types both sources before they are compared (a flag may arrive as
-    text, a config value as a number); a value it rejects, a config null
-    included, names the field.
+    text, a config value as a number); a value it rejects names the field.
     """
     flag = getattr(args, field.replace("-", "_"), None)
     if flag is not None:
@@ -92,18 +120,14 @@ def _pick(args: argparse.Namespace, config: dict, field: str, default=None,
 
 
 def _count(value) -> int:
-    """An integer count that must be >= 1 (nodes, local batch)."""
+    """An integer count that must be >= 1 (nodes, local batch), given as an
+    integer or as the text of one."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"count must be an integer, got {value!r}")
     number = int(value)
     if number < 1:
         raise ValueError(f"count must be >= 1, got {number}")
     return number
-
-
-def _boolean(value) -> bool:
-    """A JSON boolean; text such as "false" is not one."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected a boolean, got {value!r}")
-    return value
 
 
 def _count_list(value) -> list[int]:
@@ -160,8 +184,8 @@ def _resolve_strategy(value, field: str = "strategy") -> Strategy:
 
 def _resolve_policy(args, config) -> PrefetchPolicy:
     mode = _pick(args, config, "prefetch", "backward-pre")
-    limit = _pick(args, config, "limit_all_gathers", True, parse=_boolean)
-    inflight = _pick(args, config, "max_inflight", 2, parse=int)
+    limit = _pick(args, config, "limit_all_gathers", True)
+    inflight = _pick(args, config, "max_inflight", 2)
     try:
         policy = PrefetchPolicy(mode=mode)
     except ConfigError as exc:
@@ -381,7 +405,10 @@ def _cmd_calibrate(args) -> str:
                 nodes=_count(entry["nodes"]),
                 local_batch=_count(entry.get("local_batch", 32)),
             )
-            measured = float(entry["measured_ips"])
+            measured = entry["measured_ips"]
+            if _json_type(measured) not in ("integer", "number"):
+                raise TypeError(
+                    f"measured ips must be a number, got {measured!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise CLIError(field, str(exc))
         observations.append((scenario, measured))

@@ -3,9 +3,10 @@
 One representative rank is simulated: all ranks run the same task sequence and
 collectives are symmetric, so the canonical timeline is the step time.
 Resources are the rank's compute stream plus one communication stream per
-(intra/inter link, group); a task starts once its dependencies are done and
-its resource is idle, lowest task id first.  There is no randomness anywhere,
-so identical inputs produce identical traces.
+(intra/inter link, group).  Like a GPU stream, each runs its tasks in the
+order they were issued (task-id order): a task starts once its dependencies
+and the task issued before it on its stream are done.  There is no randomness
+anywhere, so identical inputs produce identical traces.
 
 `simulate_step` is the one simulate entry point: it returns the event trace
 and the step metrics of one simulation together.
@@ -16,7 +17,6 @@ time is max(simulated makespan, local_batch / io_rate); it never adds.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import warnings
@@ -97,42 +97,45 @@ class _CompiledSchedule:
     """Static timing terms of a schedule on a cluster, reusable while only
     compute efficiency and latency scale vary between simulations."""
 
-    __slots__ = ("n", "flops", "wire", "latency", "resources", "n_resources",
-                 "names", "children", "base_deps")
+    __slots__ = ("flops", "wire", "latency", "resources", "names", "preds")
 
     def __init__(self, schedule: StepSchedule, cluster: ClusterSpec) -> None:
         tasks = schedule.tasks
-        self.n = len(tasks)
-        self.flops = [0.0] * self.n
-        self.wire = [0.0] * self.n       # bandwidth term, seconds
-        self.latency = [0.0] * self.n    # latency term at scale 1, seconds
-        self.resources = [0] * self.n    # 0 is the compute stream
-        self.names = ["compute"] * self.n
-        self.children: list[list[int]] = [[] for _ in range(self.n)]
-        self.base_deps = [len(t.deps) for t in tasks]
+        n = len(tasks)
+        self.flops = [0.0] * n
+        self.wire = [0.0] * n       # bandwidth term, seconds
+        self.latency = [0.0] * n    # latency term at scale 1, seconds
+        self.resources = [0] * n    # 0 is the compute stream
+        self.names = ["compute"] * n
+        # A task waits for its deps and for the task issued before it on its
+        # stream; `StepSchedule` guarantees every dep has a lower id.
+        self.preds: list[tuple[int, ...]] = []
+        last: dict[int, int] = {}   # resource id -> its latest task so far
         # One communication stream per group: (resource id, name, channel).
         streams: dict[range, tuple[int, str, tuple[float, float]]] = {}
         for t in tasks:
-            for d in t.deps:
-                self.children[d].append(t.id)
             if t.kind == COMPUTE:
                 self.flops[t.id] = t.flops
-                continue
-            if t.kind == FREE:
-                continue
-            # Validate once; the per-candidate loop never re-touches groups.
-            group = CollectiveCall(t.kind, t.bytes, t.group).group
-            stream = streams.get(group)
-            if stream is None:
-                link = "inter" if group_nodes(group, cluster) > 1 else "intra"
-                stride = group.step if len(group) > 1 else 0
-                key = f"comm:{link}:{group.start}+{stride}x{len(group)}"
-                stream = streams[group] = (len(streams) + 1, key,
-                                           group_channel(group, cluster))
-            self.resources[t.id], self.names[t.id], channel = stream
-            self.wire[t.id], self.latency[t.id] = ring_terms(
-                t.kind, t.bytes, len(group), channel)
-        self.n_resources = len(streams) + 1
+            elif t.kind != FREE:
+                # Validate once; the per-candidate loop never re-touches groups.
+                group = CollectiveCall(t.kind, t.bytes, t.group).group
+                stream = streams.get(group)
+                if stream is None:
+                    link = "inter" if group_nodes(group, cluster) > 1 \
+                        else "intra"
+                    stride = group.step if len(group) > 1 else 0
+                    key = f"comm:{link}:{group.start}+{stride}x{len(group)}"
+                    stream = streams[group] = (len(streams) + 1, key,
+                                               group_channel(group, cluster))
+                self.resources[t.id], self.names[t.id], channel = stream
+                self.wire[t.id], self.latency[t.id] = ring_terms(
+                    t.kind, t.bytes, len(group), channel)
+            resource = self.resources[t.id]
+            previous = last.get(resource)
+            self.preds.append(
+                t.deps if previous is None or previous in t.deps
+                else (*t.deps, previous))
+            last[resource] = t.id
 
     def durations(self, effective_flops: float,
                   latency_scale: float) -> list[float]:
@@ -153,65 +156,22 @@ class _CompiledSchedule:
         return sum(d for d, r in zip(durations, self.resources) if not r)
 
     def run(self, durations: list[float]) -> tuple[list[float], list[float]]:
-        """Event-driven list scheduling: at every completion, each idle
-        resource starts its lowest-id ready task.  Fully deterministic.
+        """Start and end time of every task, each stream running its tasks in
+        issue (task-id) order.
 
-        Idle resources of newly ready children start before the completing
-        task's own resource.  Running tasks are keyed (end, task id), so the
-        order in which tasks start at one instant never changes the result.
+        One pass in task-id order: a task starts when the last of its deps and
+        of the task issued before it on its stream has ended.
         """
-        heappush, heappop, heappushpop = \
-            heapq.heappush, heapq.heappop, heapq.heappushpop
-        resources, children = self.resources, self.children
-        remaining = self.base_deps[:]
-        ready: list[list[int]] = [[] for _ in range(self.n_resources)]
-        busy = [False] * self.n_resources
-        start = [0.0] * self.n
-        end = [0.0] * self.n
-        running: list[tuple[float, int]] = []
-
-        for tid, deps in enumerate(remaining):
-            if not deps:
-                ready[resources[tid]].append(tid)   # ascending ids: a heap
-        for resource, heap in enumerate(ready):
-            if heap:
-                tid = heappop(heap)
-                end[tid] = finish = 0.0 + durations[tid]
-                busy[resource] = True
-                heappush(running, (finish, tid))
-
-        while running:
-            now, tid = heappop(running)
-            resource = resources[tid]
-            busy[resource] = False
-            for child in children[tid]:
-                left = remaining[child] - 1
-                remaining[child] = left
-                if left:
-                    continue
-                child_resource = resources[child]
-                heap = ready[child_resource]
-                if busy[child_resource]:
-                    heappush(heap, child)
-                    continue
-                if heap:    # push, then start the lowest ready id
-                    child = heappushpop(heap, child)
-                start[child] = now
-                end[child] = finish = now + durations[child]
-                busy[child_resource] = True
-                heappush(running, (finish, child))
-            if not busy[resource]:
-                heap = ready[resource]
-                if heap:
-                    tid = heappop(heap)
-                    start[tid] = now
-                    end[tid] = finish = now + durations[tid]
-                    busy[resource] = True
-                    heappush(running, (finish, tid))
-
-        if any(remaining):
-            raise ValueError(
-                "schedule contains unreachable tasks (dependency cycle)")
+        start: list[float] = []
+        end: list[float] = []
+        for preds, duration in zip(self.preds, durations):
+            ready = 0.0
+            for p in preds:
+                e = end[p]
+                if e > ready:
+                    ready = e
+            start.append(ready)
+            end.append(ready + duration)
         return start, end
 
 

@@ -97,7 +97,7 @@ class Strategy:
 
     @staticmethod
     def parse(text: str) -> "Strategy":
-        key = text.strip().lower()
+        key = text.strip().lower() if isinstance(text, str) else ""
         if key in ("no-shard", "noshard", "no_shard"):
             return Strategy.no_shard()
         if key in ("full", "full-shard", "full_shard"):
@@ -305,7 +305,7 @@ class StepSchedule:
         for position, task in enumerate(self.tasks):
             if task.id != position:
                 raise ValueError("task ids must match their positions")
-            if any(d >= task.id for d in task.deps):
+            if task.deps and max(task.deps) >= task.id:
                 raise ValueError(
                     f"task {task.id} depends on a later task; schedule is cyclic")
 

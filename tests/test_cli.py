@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from shardsim import SweepTable, get_model
-from shardsim.cli import CONFIG_FIELDS, _build_parser, run
+from shardsim.cli import CONFIG_FIELDS, _build_parser, _json_type, run
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "runconfig.schema.json"
 
@@ -259,6 +259,21 @@ class TestConfigFile:
         schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
         assert sorted(CONFIG_FIELDS) == sorted(schema["properties"])
 
+    def test_config_types_match_schema(self):
+        schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
+
+        def types(spec):
+            if "type" in spec:
+                return {spec["type"]}
+            if "$ref" in spec:
+                return types(schema["$defs"][spec["$ref"].rsplit("/", 1)[1]])
+            if "enum" in spec:
+                return {_json_type(value) for value in spec["enum"]}
+            return set().union(*map(types, spec["oneOf"]))
+
+        for field, spec in schema["properties"].items():
+            assert set(CONFIG_FIELDS[field]) == types(spec), field
+
     def test_every_flag_is_a_config_field(self):
         subparsers = next(action for action in _build_parser()._actions
                           if isinstance(action, argparse._SubParsersAction))
@@ -311,6 +326,39 @@ class TestFlagValues:
         code, _, err = invoke(capsys, "simulate", *self.RUN, "--config", config)
         assert code == 2
         assert err == "error: nodes: invalid value None\n"
+
+    @pytest.mark.parametrize("field,value", [
+        ("nodes", 2.7), ("nodes", "2"), ("local_batch", True),
+        ("max_inflight", 2.5), ("latency_scale", True), ("cluster", None),
+        ("efficiency", "0.5"), ("io_rate", False), ("strategy", 5),
+        ("model", ["vit-base"]), ("observations", 5)])
+    def test_wrong_json_type_in_config_names_field(self, capsys, tmp_path,
+                                                   field, value):
+        config = self.write(tmp_path, {field: value})
+        code, out, err = invoke(capsys, "simulate", *self.RUN, "--config",
+                                config)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field}: invalid value {value!r}\n"
+
+    def test_integer_config_value_is_a_number(self, capsys, tmp_path):
+        config = self.write(tmp_path, {"latency_scale": 2})
+        run_args = (*self.RUN, "--nodes", "2", "--format", "json")
+        code, out, err = invoke(capsys, "simulate", *run_args, "--config",
+                                config)
+        assert code == 0, err
+        _, flag, _ = invoke(capsys, "simulate", *run_args,
+                            "--latency-scale", "2")
+        assert out == flag
+
+    def test_sweep_node_count_from_config(self, capsys, tmp_path):
+        config = self.write(tmp_path, {"nodes": 2})
+        run_args = ("--model", "vit-base", "--strategies", "no-shard",
+                    "--format", "csv")
+        code, out, err = invoke(capsys, "sweep", *run_args, "--config", config)
+        assert code == 0, err
+        _, flag, _ = invoke(capsys, "sweep", *run_args, "--nodes", "2")
+        assert out == flag
 
     @pytest.mark.parametrize("flag,field", [("--efficiency", "efficiency"),
                                             ("--io-rate", "io_rate")])
@@ -385,7 +433,7 @@ class TestFlagValues:
         assert code == 2
         assert err.startswith("error: observations[0]:")
 
-    @pytest.mark.parametrize("measured", ["nan", "inf", 0, -5])
+    @pytest.mark.parametrize("measured", ["nan", "inf", 0, -5, True, "1000"])
     def test_bad_measured_ips_names_entry(self, capsys, tmp_path, measured):
         entry = {"model": "vit-base", "strategy": "full", "nodes": 1,
                  "measured_ips": 1000.0}
@@ -427,6 +475,35 @@ class TestFlagValues:
         assert code == 2
         assert err.startswith("error: observations[0]:")
 
+    @pytest.mark.parametrize("strategy", [5, None, ["full"]])
+    def test_non_string_observation_strategy_names_entry(self, capsys,
+                                                         tmp_path, strategy):
+        entry = {"model": "vit-base", "strategy": strategy, "nodes": 1,
+                 "measured_ips": 1.0}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([entry, {**entry, "strategy": "full"}]))
+        code, out, err = invoke(capsys, "calibrate", "--observations",
+                                str(path))
+        assert code == 2
+        assert out == ""
+        assert err == \
+            f"error: observations[0]: unknown strategy {strategy!r}\n"
+
+    @pytest.mark.parametrize("value", [2.7, True])
+    @pytest.mark.parametrize("field", ["nodes", "local_batch"])
+    def test_non_integer_observation_count_names_entry(self, capsys, tmp_path,
+                                                       field, value):
+        entry = {"model": "vit-base", "strategy": "full", "nodes": 1,
+                 "measured_ips": 1.0, field: value}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([entry, {**entry, field: 2}]))
+        code, out, err = invoke(capsys, "calibrate", "--observations",
+                                str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: observations[0]: count must be an "
+                              "integer")
+
 
 class TestOutputDirEnv:
     def test_relative_output_resolves_against_env(self, capsys, tmp_path,
@@ -444,3 +521,4 @@ class TestOutputDirEnv:
                             "--format", "csv", "--output", str(target))
         assert code == 0
         assert target.exists()
+

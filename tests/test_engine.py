@@ -17,6 +17,7 @@ from shardsim import (
     StepSchedule,
     Strategy,
     Task,
+    Unit,
     build_units,
     calibrate,
     collective_time,
@@ -88,6 +89,20 @@ class TestSimulateStep:
         # fast input: the step equals the synthetic makespan exactly
         _, fast = simulate_step(sched, LAB, io=IoModel(1e9))
         assert fast.step_seconds == pytest.approx(0.014, abs=1e-12)
+
+    def test_stream_runs_in_issue_order(self):
+        # Gather 2 is ready at once but was issued after gather 1, which
+        # waits for the 10 ms compute: the stream runs 1, then 2.
+        sched = manual_schedule([
+            Task(0, "compute", "a", "forward", flops=10e9),
+            Task(1, "all-gather", "b", "forward", bytes=int(4e8),
+                 group=range(2), deps=(0,)),
+            Task(2, "all-gather", "c", "forward", bytes=int(4e8),
+                 group=range(2)),
+        ])
+        trace, _ = simulate_step(sched, LAB)
+        assert trace.start == pytest.approx([0.0, 0.010, 0.014], abs=1e-12)
+        assert trace.makespan == pytest.approx(0.018, abs=1e-12)
 
     def test_cyclic_schedule_rejected(self):
         with pytest.raises(ValueError):
@@ -195,12 +210,19 @@ class TestOracle:
         assert simulated == pytest.approx(closed, rel=1e-9)
 
 
-def reference_run(resources, children, base_deps, durations):
-    """Reference list scheduler in its plainest form (dict-keyed ready heaps
-    and busy flags, a `try_start` closure); `_CompiledSchedule.run` must
+def reference_run(resources, deps, durations):
+    """Reference work-conserving list scheduler in its plainest form
+    (dict-keyed ready heaps and busy flags, a `try_start` closure): at every
+    completion, each idle resource starts its lowest-id ready task.  It need
+    not keep a stream's issue order, but on the schedules `step_schedule`
+    builds, and on DAGs that chain each stream, `_CompiledSchedule.run` must
     return exactly its start and end times."""
     n = len(resources)
-    remaining = base_deps[:]
+    children = [[] for _ in range(n)]
+    for tid, task_deps in enumerate(deps):
+        for d in task_deps:
+            children[d].append(tid)
+    remaining = [len(d) for d in deps]
     ready = {}
     busy = {}
     start = [0.0] * n
@@ -243,30 +265,52 @@ def reference_run(resources, children, base_deps, durations):
     return start, end
 
 
-def compiled_dag(resources, deps):
-    """A compiled schedule with the given task resources and dependency lists,
-    built directly so `run` can be fed any DAG (or a cycle)."""
-    compiled = object.__new__(_CompiledSchedule)
-    compiled.n = len(resources)
-    compiled.resources = list(resources)
-    compiled.n_resources = max(resources, default=0) + 1
-    compiled.children = [[] for _ in resources]
-    for tid, task_deps in enumerate(deps):
-        for d in task_deps:
-            compiled.children[d].append(tid)
-    compiled.base_deps = [len(d) for d in deps]
-    return compiled
+# The group of each communication stream of `dag_schedule`, on LAB's 8 ranks.
+STREAM_GROUPS = (None, range(0, 2), range(2, 4), range(4, 6))
+
+
+def dag_schedule(resources, deps):
+    """A hand-built schedule: a compute task where the resource is 0, else an
+    all-gather on that resource's group in `STREAM_GROUPS`."""
+    return manual_schedule(
+        Task(tid, "compute", f"u{tid}", "forward", flops=1e9, deps=tuple(d))
+        if r == 0 else
+        Task(tid, "all-gather", f"u{tid}", "forward", bytes=1,
+             group=STREAM_GROUPS[r], deps=tuple(d))
+        for tid, (r, d) in enumerate(zip(resources, deps)))
+
+
+def assert_valid_timeline(schedule, resources, start, end):
+    """Each stream runs its tasks one at a time in task-id order, so no two
+    overlap, and every dep ends before its dependant starts."""
+    last = {}
+    for tid, resource in enumerate(resources):
+        if resource in last:
+            assert start[tid] >= end[last[resource]]
+        last[resource] = tid
+    for task in schedule.tasks:
+        for dep in task.deps:
+            assert start[task.id] >= end[dep]
 
 
 @st.composite
-def random_dags(draw):
-    """Tasks on up to four shared resources, deps only to lower ids, and
-    durations from a small set with 0.0 and repeats, so ties are common."""
+def random_dags(draw, chain_streams=True):
+    """Tasks on up to four streams, deps only to lower ids, and durations from
+    a small set with 0.0 and repeats, so ties are common.  With
+    `chain_streams`, each task also depends on the task before it on its
+    stream."""
     n = draw(st.integers(1, 40))
-    n_resources = draw(st.integers(1, 4))
+    n_resources = draw(st.integers(1, len(STREAM_GROUPS)))
     resources = [draw(st.integers(0, n_resources - 1)) for _ in range(n)]
-    deps = [sorted(draw(st.sets(st.integers(0, tid - 1), max_size=3)))
-            if tid else [] for tid in range(n)]
+    deps = []
+    last = {}
+    for tid, resource in enumerate(resources):
+        task_deps = draw(st.sets(st.integers(0, tid - 1), max_size=3)) \
+            if tid else set()
+        if chain_streams and resource in last:
+            task_deps.add(last[resource])
+        last[resource] = tid
+        deps.append(sorted(task_deps))
     durations = [draw(st.sampled_from((0.0, 0.0, 1.0, 1.0, 0.1, 0.2, 0.3, 2.5)))
                  for _ in range(n)]
     return resources, deps, durations
@@ -277,16 +321,69 @@ class TestEventLoop:
     @given(random_dags())
     def test_matches_reference_scheduler(self, dag):
         resources, deps, durations = dag
-        compiled = compiled_dag(resources, deps)
-        expected = reference_run(compiled.resources, compiled.children,
-                                 compiled.base_deps, durations)
-        assert compiled.run(durations) == expected
+        compiled = _CompiledSchedule(dag_schedule(resources, deps), LAB)
+        assert compiled.run(durations) == \
+            reference_run(resources, deps, durations)
 
-    def test_cycle_raises(self):
-        # Task 0 is free to run; tasks 1 and 2 wait on each other.
-        compiled = compiled_dag([0, 0, 1], [[], [2], [1]])
-        with pytest.raises(ValueError, match="cycle"):
-            compiled.run([1.0, 1.0, 1.0])
+
+@st.composite
+def step_cases(draw):
+    """A `step_schedule` output over 1-8 random units, any strategy, prefetch
+    policy and node count, compiled on its cluster, with durations that are
+    grid-like with zeros, random, or the model's own at a random compute
+    efficiency and latency scale."""
+    units = []
+    for i in range(draw(st.integers(1, 8))):
+        forward = draw(st.integers(1, 100)) * 1e8
+        units.append(Unit(f"u{i}", draw(st.integers(1, 50_000)), forward,
+                          2 * forward))
+    spec = frontier(draw(st.sampled_from((1, 2, 4, 8))))
+    # Shard groups that tile the world and nest within or span whole nodes.
+    hybrid_sizes = (g for g in (1, 2, 4, 8, 16)
+                    if spec.world_size % g == 0 and (g > 8 or 8 % g == 0))
+    strategy = draw(st.sampled_from((
+        Strategy.no_shard(), Strategy.full_shard(), Strategy.grad_op_shard(),
+        Strategy.replicated(bucket_bytes=8_000), Strategy.replicated(),
+        *map(Strategy.hybrid, hybrid_sizes))))
+    policy = PrefetchPolicy(
+        mode=draw(st.sampled_from(("none", "backward-post", "backward-pre"))),
+        limit_all_gathers=draw(st.booleans()),
+        max_inflight=draw(st.integers(1, 4)))
+    schedule = step_schedule(make_plan(tuple(units), strategy, spec), policy,
+                             local_batch=1)
+    compiled = _CompiledSchedule(schedule, spec)
+    n = len(schedule.tasks)
+    kind = draw(st.sampled_from(("grid", "random", "model")))
+    if kind == "grid":
+        durations = draw(st.lists(st.sampled_from((0.0, 0.0, 0.5, 1.0, 2.0)),
+                                  min_size=n, max_size=n))
+    elif kind == "random":
+        durations = draw(st.lists(st.floats(0.0, 10.0), min_size=n,
+                                  max_size=n))
+    else:
+        durations = compiled.durations(
+            spec.peak_flops_per_gpu * draw(st.floats(0.05, 1.0)),
+            draw(st.floats(0.1, 50.0)))
+    return schedule, compiled, durations
+
+
+class TestIssueOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(step_cases())
+    def test_step_schedules_match_list_scheduler(self, case):
+        schedule, compiled, durations = case
+        start, end = compiled.run(durations)
+        assert (start, end) == reference_run(
+            compiled.resources, [t.deps for t in schedule.tasks], durations)
+        assert_valid_timeline(schedule, compiled.resources, start, end)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_dags(chain_streams=False))
+    def test_any_dag_gives_a_valid_timeline(self, dag):
+        resources, deps, durations = dag
+        schedule = dag_schedule(resources, deps)
+        compiled = _CompiledSchedule(schedule, LAB)
+        assert_valid_timeline(schedule, resources, *compiled.run(durations))
 
 
 class TestZeroCommIdentity:

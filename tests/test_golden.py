@@ -4,11 +4,16 @@ The digests were produced at commit a6a4bcd (before process groups became rank
 ranges) and must not move under refactors that claim identical outputs: the
 sweep CSV, the ``schedule`` JSON, the ``simulate`` report and the event-trace
 rows of one simulation.  The ``calibrate`` digests were produced at 5b2975b
-(before the flat-list event loop and the numpy-free grids).
+(before the flat-list event loop and the numpy-free grids), the demo digests
+at 4c10f7b (before streams ran in issue order).
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +135,22 @@ CALIBRATE_5B_SHA256 = \
 CALIBRATE_ROUND_TRIP_SHA256 = \
     "173cdf8b4274d09bc26f31c0b9560660bc8816e131b4a1a1a97c7d872c29fdab"
 
+ROOT = Path(__file__).resolve().parents[1]
+
+# The stdout of each `demos/0*.py`, run from a fresh interpreter.
+DEMO_SHA256 = {
+    "01_model_accounting.py":
+        "4734e111edc21f4b54948cfa793a56f4ab32762ef5fde2dc8285ddf6f21e8ed3",
+    "02_memory_planning.py":
+        "2f85f6824845237e5cbaee7064162bb9e18e59973d7ef7b165761117703cd8b6",
+    "03_step_schedules.py":
+        "0e6a8a2f7c1bed89a58d8c92abac90dcdfa06eda2ca2358393d1b8bc29f8a003",
+    "04_weak_scaling.py":
+        "d2b0d582c70c7a7069103a29006a97b65f68404b587240b4ecb7f100a5aa5fc2",
+    "05_calibration.py":
+        "af9e9218020f880f767f3c7a451c5fa778688b44c3da461e4031b1b36a3f6fd8",
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -187,3 +208,18 @@ def test_calibrate_round_trip():
         for s in scenarios]
     fitted = calibrate(observations, spec)
     assert sha256(repr(fitted)) == CALIBRATE_ROUND_TRIP_SHA256
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in (ROOT / "demos").glob("0*.py")) == \
+        sorted(DEMO_SHA256)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_SHA256))
+def test_demo_output(demo):
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, timeout=120, check=True)
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_SHA256[demo]
