@@ -9,7 +9,7 @@ Conventions:
   * a transformer block is qkv + attention projection + two-layer MLP + two
     layernorms, all with biases;
   * FLOPs count one multiply-add as 2 ops;
-  * backward FLOPs default to 2x forward (configurable multiplier);
+  * backward FLOPs are 2x forward (`BACKWARD_MULTIPLIER`);
   * byte figures are decimal (1 GB = 1e9 B) unless a caller converts.
 """
 
@@ -24,6 +24,8 @@ _INT64_MAX = 2**63 - 1
 
 FULL_CACHE = "full-cache"
 CHECKPOINTED = "checkpointed"
+
+BACKWARD_MULTIPLIER = 2.0   # backward FLOPs per forward FLOP
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,6 @@ class FlopProfile:
     tokens_encoder: int
     tokens_decoder: int
     per_decoder_block_forward: float = 0.0
-    backward_multiplier: float = 2.0
 
     @property
     def forward_total(self) -> float:
@@ -160,7 +161,7 @@ class FlopProfile:
 
     @property
     def backward_total(self) -> float:
-        return self.backward_multiplier * self.forward_total
+        return BACKWARD_MULTIPLIER * self.forward_total
 
     @property
     def train_step_total(self) -> float:
@@ -287,8 +288,8 @@ def encoder_tokens(cfg: MAEConfig) -> int:
 
 
 def flops(cfg: ViTConfig | MAEConfig, batch: int,
-          image_size: int | None = None, mask_ratio: float | None = None,
-          backward_multiplier: float = 2.0) -> FlopProfile:
+          image_size: int | None = None,
+          mask_ratio: float | None = None) -> FlopProfile:
     """Forward FLOP profile of one training step's model evaluation.
 
     For MAE configs the encoder runs on the visible tokens only while the
@@ -312,7 +313,6 @@ def flops(cfg: ViTConfig | MAEConfig, batch: int,
             decoder_total=0.0,
             tokens_encoder=seq,
             tokens_decoder=0,
-            backward_multiplier=backward_multiplier,
         )
 
     mae = cfg
@@ -338,7 +338,6 @@ def flops(cfg: ViTConfig | MAEConfig, batch: int,
         tokens_encoder=t_enc,
         tokens_decoder=t_dec,
         per_decoder_block_forward=dec_block,
-        backward_multiplier=backward_multiplier,
     )
 
 

@@ -37,13 +37,12 @@ class IoModel:
     """Pipelined input stage feeding each rank at a fixed image rate."""
 
     images_per_second_per_rank: float
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         rate = self.images_per_second_per_rank
-        if self.enabled and not (math.isfinite(rate) and rate > 0):
+        if not (math.isfinite(rate) and rate > 0):
             raise ConfigError(
-                f"io rate must be a finite number > 0 when enabled, got {rate!r}")
+                f"io rate must be a finite number > 0, got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
 
     io_seconds = 0.0
     step = synthetic
-    if io is not None and io.enabled:
+    if io is not None:
         io_seconds = schedule.local_batch / io.images_per_second_per_rank
         step = max(synthetic, io_seconds)
     global_batch = schedule.world * schedule.local_batch
@@ -242,7 +241,7 @@ def prepare_scenario(scenario: Scenario, cluster: ClusterSpec,
         units = build_units(model, scenario.local_batch)
         plan = make_plan(units, scenario.strategy, spec)
         acts = activation_bytes(model, scenario.local_batch,
-                                precision=plan.precision, model=activation_model)
+                                model=activation_model)
     mem = memory_footprint(plan, acts)
     sched = step_schedule(plan, scenario.policy, local_batch=scenario.local_batch)
     return sched, mem, spec
@@ -451,27 +450,25 @@ def calibrate(observations, cluster: ClusterSpec,
             total += ((ips - measured) / measured) ** 2
         return total
 
-    best = (float("inf"), eff_grid[0], scale_grid[0])
-    for e in eff_grid:
-        for s in scale_grid:
-            value = loss(e, s, best[0])
-            if value < best[0]:
-                best = (value, e, s)
-
+    # Round 0 searches the given grids.  Each later round searches a 9 x 9
+    # grid around the best point so far, one coarse step to each side in
+    # round 1 and a quarter as far in each round after.
     e_step = (eff_grid[-1] - eff_grid[0]) / max(len(eff_grid) - 1, 1)
     s_width = (scale_grid[-1] / scale_grid[0]) ** (1 / max(len(scale_grid) - 1, 1))
-    for _ in range(refinement_rounds):
-        _, e0, s0 = best
-        eff_grid = [min(max(e, 1e-3), 1.0)
-                    for e in _linspace(e0 - e_step, e0 + e_step, 9)]
-        scale_grid = _geomspace(s0 / s_width, s0 * s_width, 9)
+    best = (float("inf"), eff_grid[0], scale_grid[0])
+    for round_ in range(refinement_rounds + 1):
+        if round_:
+            _, e0, s0 = best
+            eff_grid = [min(max(e, 1e-3), 1.0)
+                        for e in _linspace(e0 - e_step, e0 + e_step, 9)]
+            scale_grid = _geomspace(s0 / s_width, s0 * s_width, 9)
+            e_step /= 4.0
+            s_width **= 0.25
         for e in eff_grid:
             for s in scale_grid:
                 value = loss(e, s, best[0])
                 if value < best[0]:
                     best = (value, e, s)
-        e_step /= 4.0
-        s_width **= 0.25
 
     residual, efficiency, scale = best
     return CalibratedParams(compute_efficiency=efficiency,

@@ -1,11 +1,18 @@
 """Sharding strategies, per-rank memory accounting, and training-step schedules.
 
 A model is cut into shardable units: one root unit for embeddings/head plus one
-unit per transformer block (encoder and, for MAE, decoder blocks).  A strategy
-decides which of {parameters, gradients, optimizer state} each unit shards and
-over which process group; the step schedule is the dependency DAG of compute
-tasks, collectives, and frees that one training step executes, as seen from a
-canonical rank (rank 0 - all ranks are symmetric).
+unit per transformer block (encoder and, for MAE, decoder blocks).  The step
+schedule is the dependency DAG of compute tasks, collectives, and frees that
+one training step executes, as seen from a canonical rank (rank 0 - all ranks
+are symmetric).
+
+One rule says what a plan shards.  `make_plan` resolves a strategy to a shard
+group of `g` ranks (1 for the replicated strategies).  Gradients and optimizer
+state are divided by `g`, and so are parameters, re-gathered around each use
+(`ShardingPlan.reshards_params`), except under grad-op sharding, which gathers
+them once per step and keeps them resident.  A shard group of more than one
+rank all-gathers and reduce-scatters; every other collective is an all-reduce
+over the replica group.
 
 Scheduling model, mirroring the sharded-data-parallel runtime it abstracts:
 
@@ -27,10 +34,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
-from .arch import MAEConfig, ViTConfig, flops, mae_param_count, param_count
+from .arch import BACKWARD_MULTIPLIER, MAEConfig, ViTConfig, flops, \
+    mae_param_count, param_count
 from .cluster import ClusterSpec, ProcessGroups, build_groups
 from .collectives import ALL_GATHER, ALL_REDUCE, REDUCE_SCATTER
 from .errors import ConfigError
@@ -41,6 +50,8 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 DEFAULT_BUCKET_BYTES = 25 * 2**20
+PARAM_BYTES = 4                     # fp32 parameters and gradients
+OPTIMIZER_BYTES_PER_PARAM = 8       # two fp32 moments per parameter
 
 
 class StrategyKind(str, Enum):
@@ -142,12 +153,11 @@ class Unit:
     backward_flops: float
 
 
-def build_units(model: ViTConfig | MAEConfig, batch: int,
-                backward_multiplier: float = 2.0) -> tuple[Unit, ...]:
+def build_units(model: ViTConfig | MAEConfig, batch: int) -> tuple[Unit, ...]:
     """Split a model into the root unit plus one unit per block, with FLOPs
     already scaled by the local batch."""
-    profile = flops(model, batch, backward_multiplier=backward_multiplier)
-    mult = backward_multiplier
+    profile = flops(model, batch)
+    mult = BACKWARD_MULTIPLIER
     if isinstance(model, ViTConfig):
         breakdown = param_count(model)
         depth, dec_depth = model.depth, 0
@@ -178,28 +188,28 @@ class ShardingPlan:
     strategy: Strategy
     groups: ProcessGroups
     cluster: ClusterSpec
-    precision: int = 4
-    optimizer_state_bytes_per_param: int = 8
 
     @property
     def shard_group_size(self) -> int:
         return self.groups.shard_group_size
 
+    @property
+    def reshards_params(self) -> bool:
+        """Parameters are sharded and re-gathered around each use: a shard
+        group of more than one rank, except under grad-op sharding."""
+        return self.shard_group_size > 1 \
+            and self.strategy.kind is not StrategyKind.GRAD_OP_SHARD
+
     def unit_full_bytes(self, unit: Unit) -> int:
-        return unit.params * self.precision
+        return unit.params * PARAM_BYTES
 
     def unit_shard_bytes(self, unit: Unit) -> int:
         # ceil keeps every rank's shard equal; padding is < one element/rank.
-        return math.ceil(unit.params / self.shard_group_size) * self.precision
-
-    @property
-    def total_param_bytes(self) -> int:
-        return sum(self.unit_full_bytes(u) for u in self.units)
+        return math.ceil(unit.params / self.shard_group_size) * PARAM_BYTES
 
 
-def make_plan(units: tuple[Unit, ...], strategy: Strategy, cluster: ClusterSpec,
-              precision: int = 4,
-              optimizer_state_bytes_per_param: int = 8) -> ShardingPlan:
+def make_plan(units: tuple[Unit, ...], strategy: Strategy,
+              cluster: ClusterSpec) -> ShardingPlan:
     """Resolve a strategy against a cluster into a concrete plan.
 
     hybrid(1) is normalized to no-shard: a shard group of one replicates the
@@ -216,8 +226,7 @@ def make_plan(units: tuple[Unit, ...], strategy: Strategy, cluster: ClusterSpec,
         g = world
     groups = build_groups(cluster, g)
     return ShardingPlan(units=tuple(units), strategy=strategy, groups=groups,
-                        cluster=cluster, precision=precision,
-                        optimizer_state_bytes_per_param=optimizer_state_bytes_per_param)
+                        cluster=cluster)
 
 
 @dataclass(frozen=True)
@@ -249,30 +258,23 @@ class MemoryBreakdown:
 def memory_footprint(plan: ShardingPlan, activations) -> MemoryBreakdown:
     """Peak per-rank memory for a plan plus an activation estimate.
 
-    Full/hybrid sharding divides all three state components by the shard-group
-    size; grad-op sharding divides gradients and optimizer state only, keeping
-    parameters resident.  Strategies that re-gather parameters additionally
-    hold one gathered unit's full parameters at peak.  Activations are never
-    sharded.
+    Gradients and optimizer state are divided by the shard-group size, and
+    parameters too when the plan re-shards them (`reshards_params`); such a
+    plan also holds one gathered unit's full parameters at peak.  Grad-op
+    sharding keeps parameters resident.  Activations are never sharded.
     """
-    kind = plan.strategy.kind
-    g = plan.shard_group_size
-    shards_params = kind in (StrategyKind.FULL_SHARD, StrategyKind.HYBRID)
-    shards_state = shards_params or kind is StrategyKind.GRAD_OP_SHARD
-    div_params = g if shards_params else 1
-    div_state = g if shards_state else 1
-    prec = plan.precision
-    opt = plan.optimizer_state_bytes_per_param
-
-    params = sum(math.ceil(u.params / div_params) * prec for u in plan.units)
-    grads = sum(math.ceil(u.params / div_state) * prec for u in plan.units)
-    optimizer = sum(math.ceil(u.params / div_state) * opt for u in plan.units)
-    gathered = max(u.params for u in plan.units) * prec \
-        if shards_params and g > 1 else 0
+    shard_elements = sum(math.ceil(u.params / plan.shard_group_size)
+                         for u in plan.units)
+    if plan.reshards_params:
+        params = shard_elements * PARAM_BYTES
+        gathered = max(u.params for u in plan.units) * PARAM_BYTES
+    else:
+        params = sum(plan.unit_full_bytes(u) for u in plan.units)
+        gathered = 0
     return MemoryBreakdown(
         params_bytes=params,
-        grads_bytes=grads,
-        optimizer_bytes=optimizer,
+        grads_bytes=shard_elements * PARAM_BYTES,
+        optimizer_bytes=shard_elements * OPTIMIZER_BYTES_PER_PARAM,
         activations_bytes=activations.bytes_per_rank,
         gathered_peak_bytes=gathered,
         hbm_bytes=plan.cluster.hbm_bytes_per_gpu,
@@ -305,9 +307,10 @@ class StepSchedule:
         for position, task in enumerate(self.tasks):
             if task.id != position:
                 raise ValueError("task ids must match their positions")
-            if task.deps and max(task.deps) >= task.id:
-                raise ValueError(
-                    f"task {task.id} depends on a later task; schedule is cyclic")
+            # Deps on earlier tasks only keep the DAG acyclic and in order.
+            if task.deps and not 0 <= min(task.deps) <= max(task.deps) < task.id:
+                raise ValueError(f"task {task.id}: deps must be task ids in "
+                                 f"[0, {task.id}), got {task.deps}")
 
     def by_kind(self, kind: str) -> list[Task]:
         return [t for t in self.tasks if t.kind == kind]
@@ -344,7 +347,7 @@ class _Builder:
 
     def add(self, kind: str, unit: str, phase: str, *, bytes: int = 0,
             flops: float = 0.0, group: range = range(0),
-            deps: tuple[int, ...] = ()) -> int:
+            deps: Iterable[int] = ()) -> int:
         task = Task(id=len(self.tasks), kind=kind, unit=unit, phase=phase,
                     bytes=bytes, flops=flops, group=group,
                     deps=tuple(sorted(set(deps))))
@@ -357,124 +360,98 @@ def step_schedule(plan: ShardingPlan, policy: PrefetchPolicy,
     """Build the compute/collective DAG of one training step under a plan.
 
     Collectives over singleton groups are no-ops and are omitted, which is
-    what makes hybrid(1) and no-shard schedules identical.
+    what makes hybrid(1) and no-shard schedules identical.  Lists of task ids
+    are indexed by position: unit order forward, reverse unit order backward.
     """
-    kind = plan.strategy.kind
     units = plan.units
     n = len(units)
     b = _Builder()
 
     shard_group = plan.groups.shard_group_of(0)
     replica_group = plan.groups.replica_group_of(0)
-    gathers = kind in (StrategyKind.FULL_SHARD, StrategyKind.HYBRID,
-                       StrategyKind.GRAD_OP_SHARD) and len(shard_group) > 1
-    reshards = kind in (StrategyKind.FULL_SHARD, StrategyKind.HYBRID) \
-        and len(shard_group) > 1
-    reduce_in_group = gathers            # reduce-scatter over the shard group
+    gathers = len(shard_group) > 1   # all-gather and reduce-scatter
+    reshards = plan.reshards_params
     replica_reduce = len(replica_group) > 1
-
-    limit = policy.max_inflight if policy.limit_all_gathers else None
+    bucketed = plan.strategy.kind is StrategyKind.REPLICATED_BUCKETED
+    # Gathers that may run ahead of their compute; n never binds.
+    limit = policy.max_inflight if policy.limit_all_gathers else n
 
     # Forward: all-gather (stream-ordered, limiter-capped), compute, free.
-    fwd_compute: dict[int, int] = {}
-    fwd_ag_units: list[int] = []
-    prev_ag = None
-    prev_c = None
+    fwd_compute: list[int] = []
+    fwd_ag: list[int] = []
     for i, unit in enumerate(units):
-        compute_deps: list[int] = []
+        compute_deps = fwd_compute[-1:]
         if gathers:
-            ag_deps: list[int] = []
-            if prev_ag is not None:
-                ag_deps.append(prev_ag)
-            if limit is not None and len(fwd_ag_units) >= limit:
-                ag_deps.append(fwd_compute[fwd_ag_units[-limit]])
-            prev_ag = b.add(ALL_GATHER, unit.name, FORWARD,
-                            bytes=plan.unit_full_bytes(unit), group=shard_group,
-                            deps=tuple(ag_deps))
-            fwd_ag_units.append(i)
-            compute_deps.append(prev_ag)
-        if prev_c is not None:
-            compute_deps.append(prev_c)
-        prev_c = b.add(COMPUTE, unit.name, FORWARD, flops=unit.forward_flops,
-                       deps=tuple(compute_deps))
-        fwd_compute[i] = prev_c
+            ag_deps = fwd_ag[-1:]
+            if i >= limit:
+                ag_deps.append(fwd_compute[i - limit])
+            fwd_ag.append(b.add(ALL_GATHER, unit.name, FORWARD,
+                                bytes=plan.unit_full_bytes(unit),
+                                group=shard_group, deps=ag_deps))
+            compute_deps.append(fwd_ag[-1])
+        fwd_compute.append(b.add(COMPUTE, unit.name, FORWARD,
+                                 flops=unit.forward_flops, deps=compute_deps))
         if reshards:
-            b.add(FREE, unit.name, FORWARD, deps=(prev_c,))
-    last_forward = prev_c
+            b.add(FREE, unit.name, FORWARD, deps=(fwd_compute[-1],))
 
     # Backward, reverse unit order.
-    order = list(range(n))[::-1]
-    bwd_compute: dict[int, int] = {}
-    pending_ag: dict[int, int] = {}
-    bwd_ag_units: list[int] = []
-    prev_bag = None
+    backward = units[::-1]
+    bwd_compute: list[int] = []
+    bwd_ag: list[int] = []
     bucket_fill = 0
 
-    def issue_backward_ag(unit_index: int, anchor: int) -> None:
-        nonlocal prev_bag
-        unit = units[unit_index]
-        deps = [anchor]
-        if prev_bag is not None:
-            deps.append(prev_bag)
-        if limit is not None and len(bwd_ag_units) >= limit:
-            consumer = bwd_ag_units[-limit]
-            if consumer in bwd_compute:
-                deps.append(bwd_compute[consumer])
-        prev_bag = b.add(ALL_GATHER, unit.name, BACKWARD,
-                         bytes=plan.unit_full_bytes(unit), group=shard_group,
-                         deps=tuple(deps))
-        pending_ag[unit_index] = prev_bag
-        bwd_ag_units.append(unit_index)
+    def gather_next(anchor: int) -> None:
+        """Issue the backward all-gather of the next position, if the plan
+        re-shards parameters and a position is left."""
+        k = len(bwd_ag)
+        if not reshards or k == n:
+            return
+        deps = [anchor, *bwd_ag[-1:]]
+        if 0 <= k - limit < len(bwd_compute):
+            deps.append(bwd_compute[k - limit])
+        bwd_ag.append(b.add(ALL_GATHER, backward[k].name, BACKWARD,
+                            bytes=plan.unit_full_bytes(backward[k]),
+                            group=shard_group, deps=deps))
 
-    for pos, v in enumerate(order):
-        unit = units[v]
-        grad_ready = last_forward if pos == 0 else bwd_compute[order[pos - 1]]
-        if reshards and pos == 0:
-            issue_backward_ag(v, anchor=last_forward)
-        if reshards and pos + 1 < n and policy.mode == PREFETCH_BACKWARD_PRE:
-            issue_backward_ag(order[pos + 1], anchor=grad_ready)
+    for k, unit in enumerate(backward):
+        grad_ready = bwd_compute[-1] if bwd_compute else fwd_compute[-1]
+        if k == 0:
+            gather_next(grad_ready)
+        if policy.mode == PREFETCH_BACKWARD_PRE:
+            gather_next(grad_ready)
 
-        compute_deps = [grad_ready]
-        if v in pending_ag:
-            compute_deps.append(pending_ag[v])
         c_id = b.add(COMPUTE, unit.name, BACKWARD, flops=unit.backward_flops,
-                     deps=tuple(compute_deps))
-        bwd_compute[v] = c_id
+                     deps=[grad_ready, *bwd_ag[k:k + 1]])
+        bwd_compute.append(c_id)
 
-        if reshards and pos + 1 < n and policy.mode == PREFETCH_BACKWARD_POST:
-            issue_backward_ag(order[pos + 1], anchor=c_id)
+        if policy.mode == PREFETCH_BACKWARD_POST:
+            gather_next(c_id)
 
-        last_reduce = None
-        if reduce_in_group:
-            last_reduce = b.add(REDUCE_SCATTER, unit.name, BACKWARD,
-                                bytes=plan.unit_full_bytes(unit),
-                                group=shard_group, deps=(c_id,))
-            if kind is StrategyKind.HYBRID and replica_reduce:
+        if gathers:
+            reduced = b.add(REDUCE_SCATTER, unit.name, BACKWARD,
+                            bytes=plan.unit_full_bytes(unit),
+                            group=shard_group, deps=(c_id,))
+            if replica_reduce:   # hybrid: all-reduce the reduced shard
                 b.add(ALL_REDUCE, unit.name, BACKWARD,
                       bytes=plan.unit_shard_bytes(unit), group=replica_group,
-                      deps=(last_reduce,))
-        elif kind is StrategyKind.REPLICATED_BUCKETED and replica_reduce:
+                      deps=(reduced,))
+            if policy.mode == PREFETCH_NONE:
+                gather_next(reduced)
+            b.add(FREE, unit.name, BACKWARD, deps=(c_id,))
+        elif bucketed and replica_reduce:
             bucket_fill += plan.unit_full_bytes(unit)
             while bucket_fill >= plan.strategy.bucket_bytes:
                 b.add(ALL_REDUCE, unit.name, BACKWARD,
                       bytes=plan.strategy.bucket_bytes, group=replica_group,
                       deps=(c_id,))
                 bucket_fill -= plan.strategy.bucket_bytes
-            if pos == n - 1 and bucket_fill:
+            if k == n - 1 and bucket_fill:
                 b.add(ALL_REDUCE, unit.name, BACKWARD, bytes=bucket_fill,
                       group=replica_group, deps=(c_id,))
-                bucket_fill = 0
-        elif replica_reduce:  # no-shard: full-gradient all-reduce per unit
-            last_reduce = b.add(ALL_REDUCE, unit.name, BACKWARD,
-                                bytes=plan.unit_full_bytes(unit),
-                                group=replica_group, deps=(c_id,))
-
-        if reshards and pos + 1 < n and policy.mode == PREFETCH_NONE:
-            anchor = last_reduce if last_reduce is not None else c_id
-            issue_backward_ag(order[pos + 1], anchor=anchor)
-
-        if gathers:
-            b.add(FREE, unit.name, BACKWARD, deps=(c_id,))
+        elif replica_reduce:   # full-gradient all-reduce per unit
+            b.add(ALL_REDUCE, unit.name, BACKWARD,
+                  bytes=plan.unit_full_bytes(unit), group=replica_group,
+                  deps=(c_id,))
 
     return StepSchedule(tasks=tuple(b.tasks), strategy=plan.strategy,
                         policy=policy, world=plan.cluster.world_size,

@@ -111,6 +111,16 @@ class TestSimulateStep:
                 Task(1, "compute", "b", "forward", flops=1e9, deps=(0,)),
             ])
 
+    @pytest.mark.parametrize("tasks", [
+        [Task(0, "compute", "a", "forward", flops=1e9, deps=(-1,))],
+        [Task(0, "compute", "a", "forward", flops=1e9),
+         Task(1, "compute", "b", "forward", flops=1e9, deps=(0,)),
+         Task(2, "compute", "c", "forward", flops=1e9, deps=(-1,))],
+    ])
+    def test_negative_dep_rejected(self, tasks):
+        with pytest.raises(ValueError, match=f"task {tasks[-1].id}: deps"):
+            manual_schedule(tasks)
+
     def test_metrics_invariants(self):
         sched = step_schedule(
             make_plan(build_units(get_model("vit-base"), 8),

@@ -5,7 +5,8 @@ ranges) and must not move under refactors that claim identical outputs: the
 sweep CSV, the ``schedule`` JSON, the ``simulate`` report and the event-trace
 rows of one simulation.  The ``calibrate`` digests were produced at 5b2975b
 (before the flat-list event loop and the numpy-free grids), the demo digests
-at 4c10f7b (before streams ran in issue order).
+at 4c10f7b (before streams ran in issue order), the memory digests at
+ab4242f (before one rule in `sharding` derived what a plan shards).
 """
 
 import hashlib
@@ -124,6 +125,63 @@ SIMULATE_SHA256 = {
         "756c8a1650c162ccc7e6b2afd4c684e5e51bb811f3bafbb2d7e24f1efcc2c3c6",
 }
 
+# `memory --format json`, keyed "model/strategy/nodes".
+MEMORY_SHA256 = {
+    "vit-base/full/2":
+        "7f2938efbf3743513889ada601047e07967416022d6a5e9eae3e9d7bbca08f51",
+    "vit-base/full/16":
+        "99ca519f41113b54924f64648ad20e3f9b0a0c3abfa8ecc0fc05a0c8f3ca30c4",
+    "vit-base/hybrid8/2":
+        "dd4c43f3aaaf676d3077dfd747be30c7fb714260341967f59e1f994184b884a7",
+    "vit-base/hybrid8/16":
+        "dd4c43f3aaaf676d3077dfd747be30c7fb714260341967f59e1f994184b884a7",
+    "vit-base/hybrid16/2":
+        "7f2938efbf3743513889ada601047e07967416022d6a5e9eae3e9d7bbca08f51",
+    "vit-base/hybrid16/16":
+        "7f2938efbf3743513889ada601047e07967416022d6a5e9eae3e9d7bbca08f51",
+    "vit-base/grad-op/2":
+        "b2f8281dce81dc138392a85d87e6c5ee9b80d69a9089ff21b79b7f999fb7bee4",
+    "vit-base/grad-op/16":
+        "27c1031d8fc7d141c2ab8c92e6094c78d21b17a7ee8cd8fffeb64389e7c8e3d5",
+    "vit-base/ddp/2":
+        "eefa36e446ec8413e1940b2fae5d4319ed0deaabc6f1f0bb17a795db7e53a1b6",
+    "vit-base/ddp/16":
+        "eefa36e446ec8413e1940b2fae5d4319ed0deaabc6f1f0bb17a795db7e53a1b6",
+    "vit-base/no-shard/2":
+        "eefa36e446ec8413e1940b2fae5d4319ed0deaabc6f1f0bb17a795db7e53a1b6",
+    "vit-base/no-shard/16":
+        "eefa36e446ec8413e1940b2fae5d4319ed0deaabc6f1f0bb17a795db7e53a1b6",
+    "vit-15b/full/2":
+        "b95b9b857932a40ff93b03bbd48972ba499afd7e0a4daf559b933b0ac8c8b147",
+    "vit-15b/full/16":
+        "45e6ebc12602f053049e510a3dea42a3ae1931c3e82c5cbb9af1e171498fa856",
+    "vit-15b/hybrid8/2":
+        "667545705c9096679f9dab9ef08bc3f472370aff7dff37a245146412f08f8ca1",
+    "vit-15b/hybrid8/16":
+        "667545705c9096679f9dab9ef08bc3f472370aff7dff37a245146412f08f8ca1",
+    "vit-15b/hybrid16/2":
+        "b95b9b857932a40ff93b03bbd48972ba499afd7e0a4daf559b933b0ac8c8b147",
+    "vit-15b/hybrid16/16":
+        "b95b9b857932a40ff93b03bbd48972ba499afd7e0a4daf559b933b0ac8c8b147",
+    "vit-15b/grad-op/2":
+        "987516058518037b6d1c77cef01e552ff08bfa4be129c38e36469cf9bdfb98b8",
+    "vit-15b/grad-op/16":
+        "025bedae6cdacb426615317dd86415904f46df38de50312a5abed269397b2cff",
+    "vit-15b/ddp/2":
+        "b658e4b42f58ef64a8847579973b79eb09709f001876fde2e59f45f3bdfee7e7",
+    "vit-15b/ddp/16":
+        "b658e4b42f58ef64a8847579973b79eb09709f001876fde2e59f45f3bdfee7e7",
+    "vit-15b/no-shard/2":
+        "b658e4b42f58ef64a8847579973b79eb09709f001876fde2e59f45f3bdfee7e7",
+    "vit-15b/no-shard/16":
+        "b658e4b42f58ef64a8847579973b79eb09709f001876fde2e59f45f3bdfee7e7",
+}
+
+# The repr() of every MemoryBreakdown, in bytes, over vit-base, vit-15b and
+# mae-3b x the strategies above x nodes 2 and 16, one per line.
+MEMORY_BREAKDOWN_SHA256 = \
+    "aab6c423a1725cef25ad42ff6cc4c5888b73cfd4f395c9d6694c09726a792196"
+
 # simulate_step(...)[0].to_json_rows() of vit-base hybrid8 on 2 nodes.
 TRACE_SHA256 = \
     "c51847ee263b1cb2b38df922250d7a900abce43e9f7c04b1f76643b2a82b8bef"
@@ -180,6 +238,24 @@ def test_simulate_report(capsys, strategy):
     out = cli_output(capsys, "simulate", "--model", "vit-base",
                      "--strategy", strategy, "--nodes", "2", "--format", "json")
     assert sha256(out) == SIMULATE_SHA256[strategy]
+
+
+@pytest.mark.parametrize("nodes", (2, 16))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("model", ("vit-base", "vit-15b"))
+def test_memory_report(capsys, model, strategy, nodes):
+    out = cli_output(capsys, "memory", "--model", model, "--strategy", strategy,
+                     "--nodes", str(nodes), "--format", "json")
+    assert sha256(out) == MEMORY_SHA256[f"{model}/{strategy}/{nodes}"]
+
+
+def test_memory_breakdown_bytes():
+    rows = [repr(prepare_scenario(Scenario(model, Strategy.parse(strategy),
+                                           nodes), frontier(1))[1])
+            for model in ("vit-base", "vit-15b", "mae-3b")
+            for strategy in STRATEGIES
+            for nodes in (2, 16)]
+    assert sha256("\n".join(rows)) == MEMORY_BREAKDOWN_SHA256
 
 
 def test_event_trace_rows():

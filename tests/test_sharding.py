@@ -3,8 +3,11 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shardsim import (
+    ActivationEstimate,
     ConfigError,
     PRESETS,
     PrefetchPolicy,
@@ -90,7 +93,7 @@ class TestBuildUnits:
         assert units[-1].name == "decoder_block7"
 
     def test_backward_is_multiplied(self):
-        units = build_units(PRESETS["vit-base"], 1, backward_multiplier=2.0)
+        units = build_units(PRESETS["vit-base"], 1)
         for unit in units:
             assert unit.backward_flops == pytest.approx(2.0 * unit.forward_flops)
 
@@ -369,3 +372,59 @@ class TestStepSchedule:
         # backward starts from the last decoder block
         backward = [t for t in sched.tasks if t.phase == "backward" and t.kind == "compute"]
         assert backward[0].unit == "decoder_block7"
+
+
+@st.composite
+def plans_per_strategy(draw):
+    """Random units on 1-16 nodes, planned under all five strategy kinds;
+    the hybrid shard group is any size that tiles the world."""
+    units = tuple(Unit(f"u{i}", draw(st.integers(1, 50_000)), 1e9, 2e9)
+                  for i in range(draw(st.integers(1, 8))))
+    spec = frontier(draw(st.integers(1, 16)))
+    world = spec.world_size
+    hybrid = draw(st.sampled_from([g for g in range(1, world + 1)
+                                   if world % g == 0 and (g > 8 or 8 % g == 0)]))
+    strategies = {"no-shard": Strategy.no_shard(),
+                  "full": Strategy.full_shard(),
+                  "grad-op": Strategy.grad_op_shard(),
+                  "hybrid": Strategy.hybrid(hybrid),
+                  "ddp": Strategy.replicated(bucket_bytes=8_000)}
+    return {label: make_plan(units, strategy, spec)
+            for label, strategy in strategies.items()}
+
+
+class TestShardingRule:
+    """What a plan shards follows from its shard-group size alone, with
+    grad-op's resident parameters the one exception."""
+
+    ACTS = ActivationEstimate(bytes_per_rank=0, model="checkpointed", factor=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(plans_per_strategy(), st.sampled_from(
+        ("none", "backward-post", "backward-pre")))
+    def test_schedule_and_memory_follow_the_shard_group(self, plans, mode):
+        for plan in plans.values():
+            sched = step_schedule(plan, PrefetchPolicy(mode=mode))
+            mem = memory_footprint(plan, self.ACTS)
+            g = plan.shard_group_size
+            sharded = g > 1
+            assert bool(sched.by_kind("all-gather")) == sharded
+            assert bool(sched.by_kind("reduce-scatter")) == sharded
+            # Every sharded plan frees gathered parameters after backward;
+            # only a re-sharding plan frees them after forward as well.
+            frees = sched.by_kind("free")
+            assert any(t.phase == "backward" for t in frees) == sharded
+            forward_frees = [t for t in frees if t.phase == "forward"]
+            backward_gathers = [t for t in sched.by_kind("all-gather")
+                                if t.phase == "backward"]
+            assert bool(forward_frees) == plan.reshards_params
+            assert bool(backward_gathers) == plan.reshards_params
+            assert (mem.gathered_peak_bytes > 0) == plan.reshards_params
+            shard = sum(math.ceil(u.params / g) for u in plan.units)
+            assert mem.grads_bytes == shard * 4
+            assert mem.optimizer_bytes == shard * 8
+        gradop, noshard, full = (memory_footprint(plans[label], self.ACTS)
+                                 for label in ("grad-op", "no-shard", "full"))
+        assert gradop.params_bytes == noshard.params_bytes
+        assert gradop.grads_bytes == full.grads_bytes
+        assert gradop.optimizer_bytes == full.optimizer_bytes
