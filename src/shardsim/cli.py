@@ -345,6 +345,9 @@ def _cmd_sweep(args) -> str:
     model_value = _pick(args, config, "model")
     if model_value is None:
         raise CLIError("model", "a model preset name is required")
+    if not isinstance(model_value, str):
+        raise CLIError("model", "sweep takes comma-separated preset names, "
+                                "not an inline model config")
     models = [m.strip() for m in str(model_value).split(",") if m.strip()]
     for name in models:
         _resolve_model(name)

@@ -11,6 +11,14 @@ anywhere, so identical inputs produce identical traces.
 `simulate_step` is the one simulate entry point: it returns the event trace
 and the step metrics of one simulation together.
 
+A schedule compiles in two stages.  Its shape holds what does not depend on
+which ranks its groups hold: flops, each task's predecessors, and each
+collective's kind, bytes and stream.  Binding the shape to one group per
+stream on a cluster prices each distinct (stream, kind, bytes) once with the
+ring formula.  `simulate_step` and `calibrate` bind a schedule to its own
+groups; `sweep` builds one schedule per shape and binds it to the groups of
+every node count that shares that shape.
+
 The input stage is modeled as a pipelined source: in steady state the step
 time is max(simulated makespan, local_batch / io_rate); it never adds.
 """
@@ -92,49 +100,93 @@ class StepMetrics:
         return self.peak_memory.feasible if self.peak_memory else True
 
 
-class _CompiledSchedule:
-    """Static timing terms of a schedule on a cluster, reusable while only
-    compute efficiency and latency scale vary between simulations."""
+class _ScheduleShape:
+    """What a schedule's timing needs besides its groups' ranks: flops,
+    `preds`, and each collective's kind, bytes and stream.  A stream is one
+    distinct group, in order of first appearance; `groups` lists them, so
+    `bind(shape.groups, cluster)` compiles the schedule as it was built."""
 
-    __slots__ = ("flops", "wire", "latency", "resources", "names", "preds")
+    __slots__ = ("flops", "resources", "preds", "groups", "terms")
 
-    def __init__(self, schedule: StepSchedule, cluster: ClusterSpec) -> None:
+    def __init__(self, schedule: StepSchedule) -> None:
         tasks = schedule.tasks
         n = len(tasks)
         self.flops = [0.0] * n
-        self.wire = [0.0] * n       # bandwidth term, seconds
-        self.latency = [0.0] * n    # latency term at scale 1, seconds
-        self.resources = [0] * n    # 0 is the compute stream
-        self.names = ["compute"] * n
+        self.resources = [0] * n    # 0 is compute; k > 0 is groups[k - 1]
+        # (kind, bytes, stream) -> the ids of its tasks: `bind` times each
+        # distinct collective once.
+        self.terms: dict[tuple[str, float, int], list[int]] = {}
+        streams: dict[range, int] = {}
         # A task waits for its deps and for the task issued before it on its
         # stream; `StepSchedule` guarantees every dep has a lower id.
         self.preds: list[tuple[int, ...]] = []
         last: dict[int, int] = {}   # resource id -> its latest task so far
-        # One communication stream per group: (resource id, name, channel).
-        streams: dict[range, tuple[int, str, tuple[float, float]]] = {}
         for t in tasks:
             if t.kind == COMPUTE:
                 self.flops[t.id] = t.flops
             elif t.kind != FREE:
-                # Validate once; the per-candidate loop never re-touches groups.
-                group = CollectiveCall(t.kind, t.bytes, t.group).group
-                stream = streams.get(group)
-                if stream is None:
-                    link = "inter" if group_nodes(group, cluster) > 1 \
-                        else "intra"
-                    stride = group.step if len(group) > 1 else 0
-                    key = f"comm:{link}:{group.start}+{stride}x{len(group)}"
-                    stream = streams[group] = (len(streams) + 1, key,
-                                               group_channel(group, cluster))
-                self.resources[t.id], self.names[t.id], channel = stream
-                self.wire[t.id], self.latency[t.id] = ring_terms(
-                    t.kind, t.bytes, len(group), channel)
+                # Each distinct (kind, bytes, group) is validated where it
+                # first appears; a descending singleton equals an ascending
+                # one, so it never counts as seen.
+                group = t.group
+                stream = streams.get(group) if isinstance(group, range) \
+                    and group.step > 0 else None
+                ids = self.terms.get((t.kind, t.bytes, stream))
+                if ids is None:
+                    CollectiveCall(t.kind, t.bytes, group)
+                    stream = streams.setdefault(group, len(streams) + 1)
+                    ids = self.terms[(t.kind, t.bytes, stream)] = []
+                ids.append(t.id)
+                self.resources[t.id] = stream
             resource = self.resources[t.id]
             previous = last.get(resource)
             self.preds.append(
                 t.deps if previous is None or previous in t.deps
                 else (*t.deps, previous))
             last[resource] = t.id
+        self.groups = tuple(streams)
+
+    def bind(self, groups, cluster: ClusterSpec) -> "_CompiledSchedule":
+        """The schedule's timing terms with stream k on `groups[k]`."""
+        names = ["compute"]
+        channels = []
+        for group in groups:
+            link = "inter" if group_nodes(group, cluster) > 1 else "intra"
+            stride = group.step if len(group) > 1 else 0
+            names.append(f"comm:{link}:{group.start}+{stride}x{len(group)}")
+            channels.append(group_channel(group, cluster))
+        n = len(self.flops)
+        wire = [0.0] * n        # bandwidth term, seconds
+        latency = [0.0] * n     # latency term at scale 1, seconds
+        for (kind, nbytes, stream), ids in self.terms.items():
+            w, lat = ring_terms(kind, nbytes, len(groups[stream - 1]),
+                                channels[stream - 1])
+            for tid in ids:
+                wire[tid] = w
+                latency[tid] = lat
+        return _CompiledSchedule(self, wire, latency, names)
+
+
+class _CompiledSchedule:
+    """Static timing terms of a schedule on a cluster, reusable while only
+    compute efficiency and latency scale vary between simulations."""
+
+    __slots__ = ("flops", "wire", "latency", "resources", "preds",
+                 "stream_names")
+
+    def __init__(self, shape: _ScheduleShape, wire: list[float],
+                 latency: list[float], stream_names: list[str]) -> None:
+        self.flops = shape.flops
+        self.resources = shape.resources
+        self.preds = shape.preds
+        self.wire = wire
+        self.latency = latency
+        self.stream_names = stream_names
+
+    @property
+    def names(self) -> list[str]:
+        """The name of each task's stream."""
+        return [self.stream_names[r] for r in self.resources]
 
     def durations(self, effective_flops: float,
                   latency_scale: float) -> list[float]:
@@ -174,22 +226,26 @@ class _CompiledSchedule:
         return start, end
 
 
-def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
-                  io: IoModel | None = None, latency_scale: float = 1.0,
-                  memory: MemoryBreakdown | None = None
-                  ) -> tuple[EventTrace, StepMetrics]:
-    """Simulate one step; return its event trace and throughput metrics.
+def _compile(schedule: StepSchedule, cluster: ClusterSpec) -> _CompiledSchedule:
+    """Compile a schedule on its own groups."""
+    shape = _ScheduleShape(schedule)
+    return shape.bind(shape.groups, cluster)
+
+
+def _simulate(compiled: _CompiledSchedule, cluster: ClusterSpec, world: int,
+              local_batch: int, io: IoModel | None, latency_scale: float,
+              memory: MemoryBreakdown | None
+              ) -> tuple[list[float], list[float], StepMetrics]:
+    """Time a compiled step; return each task's start and end and the metrics.
 
     Exposed communication is the makespan minus the summed compute time: the
     compute stream is a single dependency chain, so that sum is exactly the
     makespan of the step with every collective at zero duration.
     """
-    compiled = _CompiledSchedule(schedule, cluster)
     durations = compiled.durations(cluster.effective_flops_per_gpu,
                                    latency_scale)
     start, end = compiled.run(durations)
-    trace = EventTrace(start, end, compiled.names)
-    synthetic = trace.makespan
+    synthetic = max(end, default=0.0)
     compute_seconds = compiled.compute_seconds(durations)
     exposed = max(0.0, synthetic - compute_seconds)
     fraction = exposed / synthetic if synthetic > 0 else 0.0
@@ -197,10 +253,9 @@ def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
     io_seconds = 0.0
     step = synthetic
     if io is not None:
-        io_seconds = schedule.local_batch / io.images_per_second_per_rank
+        io_seconds = local_batch / io.images_per_second_per_rank
         step = max(synthetic, io_seconds)
-    global_batch = schedule.world * schedule.local_batch
-    ips = global_batch / step if step > 0 else 0.0
+    ips = world * local_batch / step if step > 0 else 0.0
     metrics = StepMetrics(
         step_seconds=step,
         images_per_second=ips,
@@ -210,7 +265,19 @@ def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
         io_seconds=io_seconds,
         peak_memory=memory,
     )
-    return trace, metrics
+    return start, end, metrics
+
+
+def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
+                  io: IoModel | None = None, latency_scale: float = 1.0,
+                  memory: MemoryBreakdown | None = None
+                  ) -> tuple[EventTrace, StepMetrics]:
+    """Simulate one step; return its event trace and throughput metrics."""
+    compiled = _compile(schedule, cluster)
+    start, end, metrics = _simulate(compiled, cluster, schedule.world,
+                                    schedule.local_batch, io, latency_scale,
+                                    memory)
+    return EventTrace(start, end, compiled.names), metrics
 
 
 @dataclass(frozen=True)
@@ -322,45 +389,73 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
     """Weak-scaling sweep: one row per (model, strategy, node count).
 
     Strategies that cannot be built at a node count produce a row marked
-    infeasible instead of being dropped.  The ideal column scales the smallest
-    feasible node count's throughput linearly.  Metric values are quantized to
-    their printed precision so the CSV, JSON, and in-memory forms agree.
+    infeasible instead of being dropped.  The ideal column scales the
+    throughput of the feasible row with the fewest nodes linearly.  Metric
+    values are quantized to their printed precision so the CSV, JSON, and
+    in-memory forms agree.
+
+    A model's units are built once.  Across node counts the step DAG of a
+    (model, strategy) changes shape only when a group becomes or stops being
+    a singleton, or when a hybrid all-reduce's shard bytes change with the
+    shard-group size: each shape is built and compiled once, then bound to
+    the groups of every node count that has it.
     """
     if not models or not strategies or not node_counts:
         raise ConfigError("models, strategies, and node_counts must be non-empty")
     policy = policy or PrefetchPolicy()
     rows: list[SweepRow] = []
     for model in models:
+        config = _resolve_model(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            units = build_units(config, local_batch)
+            acts = activation_bytes(config, local_batch)
         for strategy in strategies:
+            # Shape key -> the shape and, per stream, whether it is the shard
+            # group (else the replica group).
+            shapes: dict[tuple, tuple[_ScheduleShape, list[bool]]] = {}
             measured: list[tuple[int, StepMetrics | None]] = []
             for nodes in node_counts:
-                scenario = Scenario(model=model, strategy=strategy, nodes=nodes,
-                                    local_batch=local_batch, policy=policy)
+                spec = replace(cluster, num_nodes=nodes)
                 try:
-                    metrics = run_scenario(scenario, cluster, io=io,
-                                           latency_scale=latency_scale)
+                    plan = make_plan(units, strategy, spec)
                 except TopologyError:
-                    metrics = None
+                    measured.append((nodes, None))
+                    continue
+                shard = plan.groups.shard_group_of(0)
+                replica = plan.groups.replica_group_of(0)
+                gathers, replica_reduce = len(shard) > 1, len(replica) > 1
+                # Everything `step_schedule` reads from a plan but its ranks.
+                key = (gathers, plan.reshards_params, replica_reduce,
+                       len(shard) if gathers and replica_reduce else 0)
+                if key not in shapes:
+                    shape = _ScheduleShape(step_schedule(
+                        plan, policy, local_batch=local_batch))
+                    shapes[key] = shape, [g == shard for g in shape.groups]
+                shape, is_shard = shapes[key]
+                compiled = shape.bind(
+                    [shard if s else replica for s in is_shard], spec)
+                _, _, metrics = _simulate(
+                    compiled, spec, spec.world_size, local_batch, io,
+                    latency_scale, memory_footprint(plan, acts))
                 measured.append((nodes, metrics))
-            base = next(((n, m) for n, m in measured if m is not None), None)
+            base = min(((n, m) for n, m in measured if m is not None),
+                       key=lambda row: row[0], default=None)
             for nodes, metrics in measured:
                 if metrics is None:
                     rows.append(SweepRow(model, strategy.label, nodes,
                                          None, None, None, None, False))
                     continue
-                ips = round(metrics.images_per_second, 1)
-                ideal = None
-                if base is not None:
-                    base_nodes, base_metrics = base
-                    ideal = round(base_metrics.images_per_second
-                                  * nodes / base_nodes, 1)
-                peak_gb = round(metrics.peak_memory.total_bytes / 1024**3, 2) \
-                    if metrics.peak_memory else None
+                base_nodes, base_metrics = base
                 rows.append(SweepRow(
                     model=model, strategy=strategy.label, nodes=nodes,
-                    ips=ips, ideal_ips=ideal,
+                    ips=round(metrics.images_per_second, 1),
+                    ideal_ips=round(base_metrics.images_per_second
+                                    * nodes / base_nodes, 1),
                     comm_fraction=round(metrics.comm_fraction, 4),
-                    peak_gb=peak_gb, feasible=metrics.feasible))
+                    peak_gb=round(metrics.peak_memory.total_bytes / 1024**3,
+                                  2),
+                    feasible=metrics.feasible))
     return SweepTable(rows=tuple(rows))
 
 
@@ -433,7 +528,7 @@ def calibrate(observations, cluster: ClusterSpec,
             raise ConfigError(f"observations[{i}]: measured ips must be a "
                               f"finite number > 0, got {measured!r}")
         sched, _, spec = prepare_scenario(scenario, cluster)
-        compiled = _CompiledSchedule(sched, spec)
+        compiled = _compile(sched, spec)
         global_batch = sched.world * sched.local_batch
         prepared.append((compiled, spec.peak_flops_per_gpu, global_batch,
                          measured))

@@ -246,6 +246,16 @@ class TestConfigFile:
         assert code == 0, err
         assert inline == preset
 
+    def test_inline_sweep_model_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": asdict(get_model("vit-base"))}))
+        code, out, err = invoke(capsys, "sweep", "--config", str(path),
+                                "--strategies", "full", "--nodes", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: model: sweep takes comma-separated "
+                              "preset names")
+
     def test_unknown_field_rejected(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"model": "vit-base", "strategy": "full",

@@ -1,6 +1,7 @@
 import heapq
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from shardsim import (
     StepSchedule,
     Strategy,
     Task,
+    TopologyError,
     Unit,
     build_units,
     calibrate,
@@ -28,9 +30,10 @@ from shardsim import (
     run_scenario,
     simulate_step,
     step_schedule,
+    sweep,
 )
-from shardsim.engine import CalibratedParams, _CompiledSchedule, _geomspace, \
-    _linspace
+from shardsim.engine import CalibratedParams, _CompiledSchedule, _compile, \
+    _geomspace, _linspace
 
 warnings.simplefilter("ignore", UserWarning)
 
@@ -120,6 +123,21 @@ class TestSimulateStep:
     def test_negative_dep_rejected(self, tasks):
         with pytest.raises(ValueError, match=f"task {tasks[-1].id}: deps"):
             manual_schedule(tasks)
+
+    GATHER = Task(0, "all-gather", "a", "forward", bytes=8, group=range(2))
+
+    @pytest.mark.parametrize("bad", [
+        {"kind": "bogus"}, {"bytes": -1}, {"group": range(0)},
+        {"group": range(1, -1, -1)}, {"group": range(0, -1, -1)},
+    ])
+    def test_bad_collective_rejected_on_a_seen_group(self, bad):
+        # The bad task follows good ones on range(2) and on range(1), which
+        # equals the descending singleton range(0, -1, -1).
+        sched = manual_schedule([
+            self.GATHER, replace(self.GATHER, id=1, group=range(1)),
+            replace(self.GATHER, id=2, **bad)])
+        with pytest.raises(ValueError):
+            simulate_step(sched, LAB)
 
     def test_metrics_invariants(self):
         sched = step_schedule(
@@ -331,7 +349,7 @@ class TestEventLoop:
     @given(random_dags())
     def test_matches_reference_scheduler(self, dag):
         resources, deps, durations = dag
-        compiled = _CompiledSchedule(dag_schedule(resources, deps), LAB)
+        compiled = _compile(dag_schedule(resources, deps), LAB)
         assert compiled.run(durations) == \
             reference_run(resources, deps, durations)
 
@@ -361,7 +379,7 @@ def step_cases(draw):
         max_inflight=draw(st.integers(1, 4)))
     schedule = step_schedule(make_plan(tuple(units), strategy, spec), policy,
                              local_batch=1)
-    compiled = _CompiledSchedule(schedule, spec)
+    compiled = _compile(schedule, spec)
     n = len(schedule.tasks)
     kind = draw(st.sampled_from(("grid", "random", "model")))
     if kind == "grid":
@@ -392,7 +410,7 @@ class TestIssueOrder:
     def test_any_dag_gives_a_valid_timeline(self, dag):
         resources, deps, durations = dag
         schedule = dag_schedule(resources, deps)
-        compiled = _CompiledSchedule(schedule, LAB)
+        compiled = _compile(schedule, LAB)
         assert_valid_timeline(schedule, resources, *compiled.run(durations))
 
 
@@ -471,7 +489,6 @@ class TestInflightLimit:
 
 class TestSweepContract:
     def test_empty_inputs_rejected(self):
-        from shardsim import ConfigError, sweep
         with pytest.raises(ConfigError):
             sweep([], [Strategy.no_shard()], [1], frontier(1))
         with pytest.raises(ConfigError):
@@ -480,21 +497,110 @@ class TestSweepContract:
             sweep(["vit-base"], [Strategy.no_shard()], [], frontier(1))
 
     def test_ideal_column_scales_first_feasible(self):
-        from shardsim import sweep
         table = sweep(["vit-5b"], [Strategy.hybrid(16)], [1, 2, 4], frontier(1))
         rows = table.rows
         assert not rows[0].feasible and rows[0].ips is None  # 16 > 8 ranks
         assert rows[1].feasible
         assert rows[2].ideal_ips == pytest.approx(rows[1].ips * 2, abs=0.2)
 
+    def test_ideal_column_scales_fewest_nodes(self):
+        table = sweep(["vit-base"], [Strategy.full_shard()], [4, 2, 1],
+                      frontier(1))
+        assert [r.nodes for r in table.rows] == [4, 2, 1]
+        base = table.rows[-1]
+        assert base.ideal_ips == base.ips
+        for row in table.rows:
+            assert row.ips <= row.ideal_ips
+            assert row.ideal_ips == pytest.approx(base.ips * row.nodes,
+                                                  abs=0.3)
+
+    @pytest.mark.parametrize("scale", (math.nan, 0.0))
+    def test_bad_latency_scale_rejected(self, scale):
+        with pytest.raises(ConfigError, match="latency_scale"):
+            sweep(["vit-base"], [Strategy.full_shard()], [1, 2, 2],
+                  frontier(1), latency_scale=scale)
+
+    def test_one_schedule_per_shape(self, monkeypatch):
+        from shardsim import engine
+        built = Counter()
+        original = engine.step_schedule
+
+        def counted(plan, *args, **kwargs):
+            built[plan.strategy.label] += 1
+            return original(plan, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "step_schedule", counted)
+        strategies = [Strategy.parse(s) for s in (
+            "full", "grad-op", "hybrid8", "hybrid16", "hybrid1", "ddp",
+            "no-shard")]
+        nodes = [1, 2, 4, 16, 2, 1]
+        table = sweep(["vit-base", "mae-base"], strategies, nodes, frontier(1))
+        assert len(table.rows) == 2 * len(strategies) * len(nodes)
+        # Per model: full, grad-op, ddp and no-shard have one shape on 8+
+        # ranks; hybrid8's replica group is a singleton only on 1 node, and
+        # hybrid16's only on 2 (it cannot be built on 1); hybrid1 is no-shard.
+        assert built == {"full": 2, "grad-op": 2, "hybrid8": 4,
+                         "hybrid16": 4, "ddp": 2, "no-shard": 4}
+
     def test_throughput_never_beats_ideal(self):
-        from shardsim import sweep
         table = sweep(["vit-base", "mae-base"],
                       [Strategy.no_shard(), Strategy.full_shard(),
                        Strategy.hybrid(4)],
                       [1, 2, 4, 8, 16], frontier(1))
         for row in table.rows:
             assert row.ips <= row.ideal_ips
+
+
+@st.composite
+def sweep_cases(draw):
+    """Random presets x strategies x a prefetch policy x an unsorted node
+    list with repeats, with or without an input stage and latency scaling."""
+    models = draw(st.lists(st.sampled_from(
+        ("vit-base", "mae-base", "vit-large", "mae-large")),
+        min_size=1, max_size=2, unique=True))
+    strategies = draw(st.lists(st.sampled_from(
+        ("full", "grad-op", "ddp", "no-shard", "hybrid1", "hybrid2",
+         "hybrid4", "hybrid8", "hybrid16", "hybrid32")),
+        min_size=1, max_size=3, unique=True))
+    nodes = draw(st.lists(st.sampled_from((1, 2, 3, 4, 8, 16)),
+                          min_size=1, max_size=5))
+    policy = PrefetchPolicy(
+        mode=draw(st.sampled_from(("none", "backward-post", "backward-pre"))),
+        limit_all_gathers=draw(st.booleans()),
+        max_inflight=draw(st.integers(1, 3)))
+    io = draw(st.sampled_from((None, IoModel(100.0), IoModel(1e4))))
+    latency_scale = draw(st.sampled_from((0.5, 1.0, 8.0)))
+    local_batch = draw(st.sampled_from((1, 8, 32)))
+    return (models, [Strategy.parse(s) for s in strategies], nodes, policy,
+            io, latency_scale, local_batch)
+
+
+class TestSweepReuse:
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_cases())
+    def test_rows_match_fresh_scenarios(self, case):
+        models, strategies, nodes, policy, io, latency_scale, batch = case
+        table = sweep(models, strategies, nodes, frontier(1), policy=policy,
+                      local_batch=batch, io=io, latency_scale=latency_scale)
+        expected = [(m, s, n) for m in models for s in strategies
+                    for n in nodes]
+        assert [(r.model, r.strategy, r.nodes) for r in table.rows] == \
+            [(m, s.label, n) for m, s, n in expected]
+        for row, (model, strategy, n) in zip(table.rows, expected):
+            scenario = Scenario(model, strategy, n, local_batch=batch,
+                                policy=policy)
+            try:
+                fresh = run_scenario(scenario, frontier(1), io=io,
+                                     latency_scale=latency_scale)
+            except TopologyError:
+                assert (row.ips, row.comm_fraction, row.peak_gb,
+                        row.feasible) == (None, None, None, False)
+                continue
+            assert row.ips == round(fresh.images_per_second, 1)
+            assert row.comm_fraction == round(fresh.comm_fraction, 4)
+            assert row.peak_gb == round(
+                fresh.peak_memory.total_bytes / 1024**3, 2)
+            assert row.feasible == fresh.feasible
 
 
 class TestCalibrate:

@@ -6,7 +6,9 @@ sweep CSV, the ``schedule`` JSON, the ``simulate`` report and the event-trace
 rows of one simulation.  The ``calibrate`` digests were produced at 5b2975b
 (before the flat-list event loop and the numpy-free grids), the demo digests
 at 4c10f7b (before streams ran in issue order), the memory digests at
-ab4242f (before one rule in `sharding` derived what a plan shards).
+ab4242f (before one rule in `sharding` derived what a plan shards), the
+per-policy sweep digests at 8660751 (before a sweep built each step DAG once
+per shape and bound it to every node count's groups).
 """
 
 import hashlib
@@ -32,6 +34,37 @@ SWEEP_SHA256 = \
 
 STRATEGIES = ("full", "hybrid8", "hybrid16", "grad-op", "ddp", "no-shard")
 PREFETCH = ("none", "backward-post", "backward-pre")
+
+# The `sweep` CSV of vit-base and mae-base x these strategies x nodes 1, 2,
+# 4, 16 (hybrid16 cannot be built on 1 node, hybrid2 keeps a one-rank replica
+# group there), keyed "prefetch/limiter": the limiter at its default of two
+# gathers in flight, at one, or off.  At two the limiter never delays a
+# gather these models' compute is waiting for, so its CSV equals "off".
+SWEEP_POLICY_ARGV = ("sweep", "--model", "vit-base,mae-base", "--strategies",
+                     "full,hybrid2,hybrid16,grad-op,ddp,no-shard",
+                     "--nodes", "1,2,4,16", "--format", "csv")
+LIMITER_ARGV = {"limit2": (), "limit1": ("--max-inflight", "1"),
+                "off": ("--no-limit-all-gathers",)}
+SWEEP_POLICY_SHA256 = {
+    "none/limit2":
+        "db26372e811fcb66669566246f5e27eac62f357d820501057b25d7a9c7d1702c",
+    "none/limit1":
+        "ca249f399edeb77b6c944bd2cfdcee731f450c366334ffaaef471b9b6d391c0a",
+    "none/off":
+        "db26372e811fcb66669566246f5e27eac62f357d820501057b25d7a9c7d1702c",
+    "backward-post/limit2":
+        "4d1ee8aaa9f2ee70773fd3de97080145c818b42d81fbb960f99888d1d03b183e",
+    "backward-post/limit1":
+        "c31bc22f16e3ee4d3453f6971e74bc1b5a384b8be0a129554ed61f94f177ed66",
+    "backward-post/off":
+        "4d1ee8aaa9f2ee70773fd3de97080145c818b42d81fbb960f99888d1d03b183e",
+    "backward-pre/limit2":
+        "e19eedf6bf3da79853a0f63a06b1ee896937e24422f1aff233d262b7c110b8dc",
+    "backward-pre/limit1":
+        "7109e4762d4c3b6e51b7d5cc592bacf5eb1c897da30342e5d0bd53e82fa12284",
+    "backward-pre/off":
+        "e19eedf6bf3da79853a0f63a06b1ee896937e24422f1aff233d262b7c110b8dc",
+}
 
 # `schedule --model vit-base` JSON, keyed "strategy/prefetch/nodes".
 SCHEDULE_SHA256 = {
@@ -221,6 +254,14 @@ def cli_output(capsys, *argv) -> str:
 
 def test_sweep_csv(capsys):
     assert sha256(cli_output(capsys, *SWEEP_ARGV)) == SWEEP_SHA256
+
+
+@pytest.mark.parametrize("limiter", sorted(LIMITER_ARGV))
+@pytest.mark.parametrize("prefetch", PREFETCH)
+def test_sweep_csv_per_policy(capsys, prefetch, limiter):
+    out = cli_output(capsys, *SWEEP_POLICY_ARGV, "--prefetch", prefetch,
+                     *LIMITER_ARGV[limiter])
+    assert sha256(out) == SWEEP_POLICY_SHA256[f"{prefetch}/{limiter}"]
 
 
 @pytest.mark.parametrize("nodes", (2, 16))
