@@ -47,6 +47,10 @@ CONFIG_FIELDS = {
     "observations": ("string",),
 }
 
+# Every field an entry of a calibrate observations file may set.
+OBSERVATION_FIELDS = ("model", "strategy", "nodes", "local_batch",
+                      "measured_ips")
+
 
 class CLIError(Exception):
     def __init__(self, field: str, message: str) -> None:
@@ -401,6 +405,9 @@ def _cmd_calibrate(args) -> str:
         field = f"observations[{i}]"
         if not isinstance(entry, dict) or "measured_ips" not in entry:
             raise CLIError(field, "each entry needs scenario fields and measured_ips")
+        for key in entry:
+            if key not in OBSERVATION_FIELDS:
+                raise CLIError(field, f"unknown field {key!r}")
         try:
             scenario = Scenario(
                 model=_resolve_model(entry["model"], field),

@@ -167,6 +167,12 @@ class _ScheduleShape:
         return _CompiledSchedule(self, wire, latency, names)
 
 
+def _check_latency_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError("latency_scale: must be a finite number > 0, "
+                          f"got {scale!r}")
+
+
 class _CompiledSchedule:
     """Static timing terms of a schedule on a cluster, reusable while only
     compute efficiency and latency scale vary between simulations."""
@@ -190,9 +196,7 @@ class _CompiledSchedule:
 
     def durations(self, effective_flops: float,
                   latency_scale: float) -> list[float]:
-        if not (math.isfinite(latency_scale) and latency_scale > 0):
-            raise ConfigError("latency_scale: must be a finite number > 0, "
-                              f"got {latency_scale!r}")
+        _check_latency_scale(latency_scale)
         return [
             f / effective_flops if f else w + lat * latency_scale
             for f, w, lat in zip(self.flops, self.wire, self.latency)
@@ -402,6 +406,7 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
     """
     if not models or not strategies or not node_counts:
         raise ConfigError("models, strategies, and node_counts must be non-empty")
+    _check_latency_scale(latency_scale)
     policy = policy or PrefetchPolicy()
     rows: list[SweepRow] = []
     for model in models:
@@ -492,11 +497,26 @@ def calibrate(observations, cluster: ClusterSpec,
 
     Grid search plus local refinement, minimizing the sum of squared relative
     throughput errors.  Schedules are built once per scenario and re-timed for
-    every candidate, so the search stays cheap.  A candidate stops being
-    simulated as soon as its partial sum reaches the best loss so far: the
-    terms are non-negative, so it could never win, and the result is the one
-    a full evaluation of every candidate gives.  The residual of the best fit
+    every candidate, so the search stays cheap.  The residual of the best fit
     is part of the result, never hidden.
+
+    Two exact prunings keep the fit the one an evaluation of every candidate
+    gives, ties included, while simulating far fewer steps:
+
+    - A candidate stops being simulated as soon as its partial sum reaches
+      the best loss so far: the terms are non-negative, so it could never
+      win.
+    - A candidate is skipped when an evaluated point already rules it out.
+      Each duration is `flops / (peak * efficiency)` or `wire + latency *
+      scale`, and a step's timing uses only `max` and `+`, all monotone in
+      IEEE arithmetic, so an observation's simulated ips never falls as the
+      efficiency rises and never rises as the scale rises.  If every ips
+      simulated at (e0, s0) was at least its measured ips, each of those
+      terms is at least as large at any e >= e0, s <= s0 (all at most: e <=
+      e0, s >= s0), and so is their sum in the same order.  That sum is
+      already >= the best loss, so no candidate in the quadrant can win.
+      Grid values, not positions, are compared, so unsorted grids and
+      repeated values are fine.
 
     Each measured ips must be finite and > 0, each efficiency in (0, 1] and
     each latency scale finite and > 0; a bad value raises `ConfigError`.
@@ -527,23 +547,39 @@ def calibrate(observations, cluster: ClusterSpec,
         if not (math.isfinite(measured) and measured > 0):
             raise ConfigError(f"observations[{i}]: measured ips must be a "
                               f"finite number > 0, got {measured!r}")
-        sched, _, spec = prepare_scenario(scenario, cluster)
+        try:
+            sched, _, spec = prepare_scenario(scenario, cluster)
+        except TopologyError as exc:
+            raise TopologyError(f"observations[{i}]: {exc}") from exc
         compiled = _compile(sched, spec)
         global_batch = sched.world * sched.local_batch
         prepared.append((compiled, spec.peak_flops_per_gpu, global_batch,
                          measured))
 
-    def loss(efficiency: float, scale: float, bound: float) -> float:
-        """The loss, or a partial sum >= `bound` once it reaches `bound`."""
+    def loss(efficiency: float, scale: float,
+             bound: float) -> tuple[float, int]:
+        """The loss, or a partial sum >= `bound` once it reaches `bound`, and
+        the side of every ips simulated for it: +1 if each was >= its
+        measured ips, -1 if each was <=, 0 if they were mixed."""
         total = 0.0
+        fast = slow = True
         for compiled, peak, global_batch, measured in prepared:
             if total >= bound:
-                return total
+                break
             durations = compiled.durations(peak * efficiency, scale)
             _, end = compiled.run(durations)
             ips = global_batch / max(end)
+            fast = fast and ips >= measured
+            slow = slow and ips <= measured
             total += ((ips - measured) / measured) ** 2
-        return total
+        return total, 1 if fast else -1 if slow else 0
+
+    # Evaluated candidates (e, s) whose simulated ips were each too fast, or
+    # each too slow.  The loss found at such a point is >= the best, now and
+    # later: it reached the best of its time or was a full loss, and the
+    # best only falls.  So each rules out its quadrant for good.
+    too_fast: list[tuple[float, float]] = []
+    too_slow: list[tuple[float, float]] = []
 
     # Round 0 searches the given grids.  Each later round searches a 9 x 9
     # grid around the best point so far, one coarse step to each side in
@@ -561,9 +597,14 @@ def calibrate(observations, cluster: ClusterSpec,
             s_width **= 0.25
         for e in eff_grid:
             for s in scale_grid:
-                value = loss(e, s, best[0])
+                if any(e >= e1 and s <= s1 for e1, s1 in too_fast) or \
+                        any(e <= e1 and s >= s1 for e1, s1 in too_slow):
+                    continue
+                value, side = loss(e, s, best[0])
                 if value < best[0]:
                     best = (value, e, s)
+                if side:
+                    (too_fast if side > 0 else too_slow).append((e, s))
 
     residual, efficiency, scale = best
     return CalibratedParams(compute_efficiency=efficiency,

@@ -412,11 +412,14 @@ class TestFlagValues:
                               "--latency-scale", scale)
         assert code == 2
         assert err.startswith("error: latency_scale:")
-        code, _, err = invoke(capsys, "sweep", "--model", "vit-base",
-                              "--strategies", "no-shard", "--nodes", "1,2",
-                              "--latency-scale", scale)
-        assert code == 2
-        assert err.startswith("error: latency_scale:")
+        # hybrid16 cannot be built on one node: no row is timed.
+        for strategy, nodes in (("no-shard", "1,2"), ("hybrid16", "1")):
+            code, out, err = invoke(capsys, "sweep", "--model", "vit-base",
+                                    "--strategies", strategy, "--nodes", nodes,
+                                    "--latency-scale", scale)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: latency_scale:")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_nan_io_rate_names_field(self, capsys, command):
@@ -498,6 +501,31 @@ class TestFlagValues:
         assert out == ""
         assert err == \
             f"error: observations[0]: unknown strategy {strategy!r}\n"
+
+    def test_unbuildable_observation_names_entry(self, capsys, tmp_path):
+        entry = {"model": "vit-base", "strategy": "hybrid16", "nodes": 1,
+                 "measured_ips": 1.0}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([entry, {**entry, "strategy": "full"}]))
+        code, out, err = invoke(capsys, "calibrate", "--observations",
+                                str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: observations[0]: shard group size 16 does not " \
+                      "divide world size 8\n"
+
+    @pytest.mark.parametrize("key, value", [("nodez", 8), ("prefetch", "none")])
+    def test_unknown_observation_field_names_entry(self, capsys, tmp_path, key,
+                                                   value):
+        entry = {"model": "vit-base", "strategy": "full", "nodes": 1,
+                 "measured_ips": 1000.0}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([entry, {**entry, key: value}]))
+        code, out, err = invoke(capsys, "calibrate", "--observations",
+                                str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: observations[1]: unknown field {key!r}\n"
 
     @pytest.mark.parametrize("value", [2.7, True])
     @pytest.mark.parametrize("field", ["nodes", "local_batch"])
