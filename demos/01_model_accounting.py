@@ -9,7 +9,6 @@ from shardsim import (
     MAEConfig,
     PRESETS,
     flops,
-    mae_param_count,
     param_count,
     reference_report,
     token_count,
@@ -57,6 +56,6 @@ print()
 print("== MAE parameter overhead over the bare encoder ==")
 for name in ("vit-base", "vit-3b"):
     enc = param_count(PRESETS[name]).grand_total
-    full = mae_param_count(MAEConfig(encoder=PRESETS[name])).grand_total
+    full = param_count(MAEConfig(encoder=PRESETS[name])).grand_total
     print(f"  {name}: encoder {enc:,} -> with decoder {full:,} "
           f"(+{(full - enc) / enc:.1%})")

@@ -22,7 +22,6 @@ from .arch import (
     block_params,
     flops,
     get_model,
-    mae_param_count,
     param_count,
     reference_report,
     token_count,

@@ -16,7 +16,7 @@ Conventions:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -61,6 +61,16 @@ class ViTConfig:
                 f"patch_size {self.patch_size} exceeds image_size {self.image_size}")
         if self.num_classes < 0:
             raise ConfigError(f"num_classes must be >= 0, got {self.num_classes}")
+
+    @property
+    def encoder(self) -> ViTConfig:
+        """A plain ViT is its own encoder."""
+        return self
+
+    @property
+    def decoder_depth(self) -> int:
+        """A plain ViT has no decoder blocks."""
+        return 0
 
 
 @dataclass(frozen=True)
@@ -117,26 +127,12 @@ class ParamBreakdown:
 
     @property
     def grand_total(self) -> int:
-        return (self.blocks_total + self.patch_embed + self.pos_embed
-                + self.cls_token + self.final_norm + self.head
-                + self.decoder_blocks_total + self.decoder_embed
-                + self.decoder_pos_embed + self.mask_token + self.decoder_head)
+        return sum(self.components().values())
 
     def components(self) -> dict[str, int]:
         """Total components only (excludes the per-unit helper fields)."""
-        return {
-            "blocks_total": self.blocks_total,
-            "patch_embed": self.patch_embed,
-            "pos_embed": self.pos_embed,
-            "cls_token": self.cls_token,
-            "final_norm": self.final_norm,
-            "head": self.head,
-            "decoder_blocks_total": self.decoder_blocks_total,
-            "decoder_embed": self.decoder_embed,
-            "decoder_pos_embed": self.decoder_pos_embed,
-            "mask_token": self.mask_token,
-            "decoder_head": self.decoder_head,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("per_block", "decoder_per_block")}
 
 
 @dataclass(frozen=True)
@@ -216,55 +212,52 @@ def block_params(width: int, mlp: int) -> int:
     return qkv + proj + fc1 + fc2 + norms
 
 
-def _check_overflow(total: int) -> None:
-    # Counts are consumed as 64-bit integers downstream; refuse to emit more.
-    if total > _INT64_MAX:
-        raise OverflowError(
-            f"parameter count {total} exceeds the 64-bit integer range")
+def _tokens(cfg: ViTConfig | MAEConfig) -> tuple[ViTConfig, int, int, int]:
+    """The encoder of a ViT or MAE config, its patch-grid token count, its
+    sequence length, and the tokens the encoder runs on: the sequence for a
+    ViT, the visible patches (rounded) plus cls for an MAE."""
+    enc = cfg.encoder
+    patch_tokens, seq = token_count(enc.image_size, enc.patch_size,
+                                    enc.include_cls_token)
+    if enc is cfg:
+        return enc, patch_tokens, seq, seq
+    visible = round((1.0 - cfg.mask_ratio) * patch_tokens)
+    return enc, patch_tokens, seq, visible + (1 if enc.include_cls_token else 0)
 
 
-def param_count(cfg: ViTConfig) -> ParamBreakdown:
-    """Exact parameter breakdown of a ViT encoder backbone."""
-    w = cfg.width
-    _, seq = token_count(cfg.image_size, cfg.patch_size, cfg.include_cls_token)
-    per_block = block_params(w, cfg.mlp)
-    head = cfg.num_classes * w + cfg.num_classes if cfg.num_classes else 0
+def param_count(cfg: ViTConfig | MAEConfig) -> ParamBreakdown:
+    """Exact parameter breakdown of a ViT backbone or a full MAE model.
+
+    An MAE adds its decoder blocks, the encoder-to-decoder projection, decoder
+    position embeddings, the mask token, and the pixel-reconstruction head.
+    Masking is runtime-only and never changes parameter counts.
+    """
+    enc, _, seq, _ = _tokens(cfg)
+    w = enc.width
+    patch_dim = enc.patch_size ** 2 * enc.in_channels
+    per_block = block_params(w, enc.mlp)
+    decoder = {}
+    if isinstance(cfg, MAEConfig):
+        wd = cfg.decoder_width
+        dec_block = block_params(wd, cfg.decoder_mlp)
+        decoder = dict(decoder_per_block=dec_block,
+                       decoder_blocks_total=dec_block * cfg.decoder_depth,
+                       decoder_embed=w * wd + wd, decoder_pos_embed=seq * wd,
+                       mask_token=wd, decoder_head=wd * patch_dim + patch_dim)
     breakdown = ParamBreakdown(
         per_block=per_block,
-        blocks_total=per_block * cfg.depth,
-        patch_embed=cfg.patch_size ** 2 * cfg.in_channels * w + w,
+        blocks_total=per_block * enc.depth,
+        patch_embed=patch_dim * w + w,
         pos_embed=seq * w,
-        cls_token=w if cfg.include_cls_token else 0,
+        cls_token=w if enc.include_cls_token else 0,
         final_norm=2 * w,
-        head=head,
+        head=enc.num_classes * w + enc.num_classes if enc.num_classes else 0,
+        **decoder,
     )
-    _check_overflow(breakdown.grand_total)
-    return breakdown
-
-
-def mae_param_count(cfg: MAEConfig) -> ParamBreakdown:
-    """Parameter breakdown of the full MAE model (encoder + decoder).
-
-    Masking is runtime-only and never changes parameter counts.  The decoder
-    adds its blocks, the encoder-to-decoder projection, decoder position
-    embeddings, the mask token, and the pixel-reconstruction head.
-    """
-    enc = param_count(cfg.encoder)
-    wd = cfg.decoder_width
-    patch_dim = cfg.encoder.patch_size ** 2 * cfg.encoder.in_channels
-    _, seq = token_count(cfg.encoder.image_size, cfg.encoder.patch_size,
-                         cfg.encoder.include_cls_token)
-    dec_block = block_params(wd, cfg.decoder_mlp)
-    breakdown = replace(
-        enc,
-        decoder_per_block=dec_block,
-        decoder_blocks_total=dec_block * cfg.decoder_depth,
-        decoder_embed=cfg.encoder.width * wd + wd,
-        decoder_pos_embed=seq * wd,
-        mask_token=wd,
-        decoder_head=wd * patch_dim + patch_dim,
-    )
-    _check_overflow(breakdown.grand_total)
+    # Counts are consumed as 64-bit integers downstream; refuse to emit more.
+    if breakdown.grand_total > _INT64_MAX:
+        raise OverflowError(f"parameter count {breakdown.grand_total} "
+                            "exceeds the 64-bit integer range")
     return breakdown
 
 
@@ -278,65 +271,44 @@ def block_forward_flops(tokens: int, width: int, mlp: int) -> float:
         + 4.0 * tokens * tokens * width
 
 
-def encoder_tokens(cfg: MAEConfig) -> int:
-    """Visible-token count seen by the MAE encoder (round, plus cls)."""
-    patch_tokens, _ = token_count(cfg.encoder.image_size,
-                                  cfg.encoder.patch_size,
-                                  cfg.encoder.include_cls_token)
-    visible = round((1.0 - cfg.mask_ratio) * patch_tokens)
-    return visible + (1 if cfg.encoder.include_cls_token else 0)
+def encoder_tokens(cfg: ViTConfig | MAEConfig) -> int:
+    """Token count the encoder runs on (an MAE's visible patches plus cls)."""
+    return _tokens(cfg)[3]
 
 
 def flops(cfg: ViTConfig | MAEConfig, batch: int,
-          image_size: int | None = None,
           mask_ratio: float | None = None) -> FlopProfile:
     """Forward FLOP profile of one training step's model evaluation.
 
     For MAE configs the encoder runs on the visible tokens only while the
-    decoder always sees the full sequence at decoder width.  `image_size`
-    overrides the config's; `mask_ratio` is only legal for MAE configs.
+    decoder always sees the full sequence at decoder width.  `mask_ratio`
+    overrides the config's and is only legal for MAE configs.
     """
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
-    if isinstance(cfg, ViTConfig):
-        if mask_ratio is not None:
-            raise ConfigError("mask_ratio does not apply to a plain ViTConfig")
-        enc = cfg if image_size is None else replace(cfg, image_size=image_size)
-        patch_tokens, seq = token_count(enc.image_size, enc.patch_size,
-                                        enc.include_cls_token)
-        per_block = batch * block_forward_flops(seq, enc.width, enc.mlp)
-        embed = 2.0 * batch * patch_tokens * (enc.patch_size ** 2 * enc.in_channels) * enc.width
-        head = 2.0 * batch * enc.width * enc.num_classes
-        return FlopProfile(
-            per_block_forward=per_block,
-            encoder_total=per_block * enc.depth + embed + head,
-            decoder_total=0.0,
-            tokens_encoder=seq,
-            tokens_decoder=0,
-        )
-
-    mae = cfg
-    if image_size is not None:
-        mae = replace(mae, encoder=replace(mae.encoder, image_size=image_size))
     if mask_ratio is not None:
-        mae = replace(mae, mask_ratio=mask_ratio)
-    enc = mae.encoder
-    patch_tokens, seq = token_count(enc.image_size, enc.patch_size,
-                                    enc.include_cls_token)
-    t_enc = encoder_tokens(mae)
-    t_dec = seq
+        if isinstance(cfg, ViTConfig):
+            raise ConfigError("mask_ratio does not apply to a plain ViTConfig")
+        cfg = replace(cfg, mask_ratio=mask_ratio)
+    enc, patch_tokens, seq, t_enc = _tokens(cfg)
+    patch_dim = enc.patch_size ** 2 * enc.in_channels
     per_block = batch * block_forward_flops(t_enc, enc.width, enc.mlp)
     # Patch embedding runs over the full grid before masking drops tokens.
-    embed = 2.0 * batch * patch_tokens * (enc.patch_size ** 2 * enc.in_channels) * enc.width
-    dec_block = batch * block_forward_flops(t_dec, mae.decoder_width, mae.decoder_mlp)
-    proj = 2.0 * batch * t_enc * enc.width * mae.decoder_width
-    pixel_head = 2.0 * batch * t_dec * mae.decoder_width * (enc.patch_size ** 2 * enc.in_channels)
+    embed = 2.0 * batch * patch_tokens * patch_dim * enc.width
+    encoder_total = per_block * enc.depth + embed
+    if isinstance(cfg, ViTConfig):
+        head = 2.0 * batch * enc.width * enc.num_classes
+        return FlopProfile(per_block, encoder_total + head, 0.0, seq, 0)
+    dec_block = batch * block_forward_flops(seq, cfg.decoder_width,
+                                            cfg.decoder_mlp)
+    proj = 2.0 * batch * t_enc * enc.width * cfg.decoder_width
+    pixel_head = 2.0 * batch * seq * cfg.decoder_width * patch_dim
     return FlopProfile(
         per_block_forward=per_block,
-        encoder_total=per_block * enc.depth + embed,
-        decoder_total=dec_block * mae.decoder_depth + proj + pixel_head,
+        encoder_total=encoder_total,
+        decoder_total=dec_block * cfg.decoder_depth + proj + pixel_head,
         tokens_encoder=t_enc,
-        tokens_decoder=t_dec,
+        tokens_decoder=seq,
         per_decoder_block_forward=dec_block,
     )
 
@@ -363,16 +335,11 @@ def activation_bytes(cfg: ViTConfig | MAEConfig, batch: int,
         raise ConfigError(f"precision must be 2 or 4 bytes, got {precision}")
     if model not in (FULL_CACHE, CHECKPOINTED):
         raise ConfigError(f"unknown activation model {model!r}")
-    if isinstance(cfg, ViTConfig):
-        _, seq = token_count(cfg.image_size, cfg.patch_size, cfg.include_cls_token)
-        stacks = [(cfg.depth, seq, cfg.width, cfg.heads)]
-    else:
-        enc = cfg.encoder
-        _, seq = token_count(enc.image_size, enc.patch_size, enc.include_cls_token)
-        stacks = [
-            (enc.depth, encoder_tokens(cfg), enc.width, enc.heads),
-            (cfg.decoder_depth, seq, cfg.decoder_width, cfg.decoder_heads),
-        ]
+    enc, _, seq, t_enc = _tokens(cfg)
+    stacks = [(enc.depth, t_enc, enc.width, enc.heads)]
+    if isinstance(cfg, MAEConfig):
+        stacks.append((cfg.decoder_depth, seq, cfg.decoder_width,
+                       cfg.decoder_heads))
     total = sum(_stack_bytes(d, batch, t, w, h, precision, model, factor)
                 for d, t, w, h in stacks)
     return ActivationEstimate(bytes_per_rank=total, model=model, factor=factor)

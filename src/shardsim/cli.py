@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from .arch import CHECKPOINTED, FULL_CACHE, MAEConfig, ViTConfig, \
-    get_model, mae_param_count, param_count, reference_report
+    get_model, param_count, reference_report
 from .cluster import CLUSTER_PRESETS, ClusterSpec, GiB
 from .engine import IoModel, Scenario, calibrate, prepare_scenario, \
     run_scenario, sweep
@@ -255,8 +255,7 @@ def _format_kv(rows: list[tuple[str, str]], fmt: str) -> str:
 def _cmd_params(args) -> str:
     config = _merge_config(args)
     model = _resolve_model(_pick(args, config, "model"))
-    breakdown = mae_param_count(model) if isinstance(model, MAEConfig) \
-        else param_count(model)
+    breakdown = param_count(model)
     rows = [(name, str(count)) for name, count in breakdown.components().items()
             if count]
     rows.append(("per_block", str(breakdown.per_block)))
@@ -501,10 +500,7 @@ def run(argv=None) -> int:
         text = args.func(args)
         _emit(text, args.output)
         return 0
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, TopologyError, OSError) as exc:
+    except (CLIError, ConfigError, TopologyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

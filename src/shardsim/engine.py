@@ -30,13 +30,14 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, replace
 
-from .arch import CHECKPOINTED, MAEConfig, ViTConfig, activation_bytes, get_model
+from .arch import CHECKPOINTED, ActivationEstimate, MAEConfig, ViTConfig, \
+    activation_bytes, get_model
 from .cluster import ClusterSpec
 from .collectives import CollectiveCall, group_channel, group_nodes, \
     ring_terms
 from .errors import ConfigError, TopologyError
 from .sharding import COMPUTE, FREE, MemoryBreakdown, PrefetchPolicy, \
-    StepSchedule, Strategy, build_units, make_plan, memory_footprint, \
+    StepSchedule, Strategy, Unit, build_units, make_plan, memory_footprint, \
     step_schedule
 
 
@@ -301,18 +302,26 @@ def _resolve_model(model) -> ViTConfig | MAEConfig:
     return get_model(model)
 
 
+def _workload(model, local_batch: int, activation_model: str = CHECKPOINTED
+              ) -> tuple[tuple[Unit, ...], ActivationEstimate]:
+    """A model's units and activation estimate at a local batch.  The warning
+    that a 512-pixel image truncates to a 36x36 grid of 14-pixel patches is
+    silenced: the large presets truncate by design."""
+    model = _resolve_model(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return (build_units(model, local_batch),
+                activation_bytes(model, local_batch, model=activation_model))
+
+
 def prepare_scenario(scenario: Scenario, cluster: ClusterSpec,
                      activation_model: str = CHECKPOINTED
                      ) -> tuple[StepSchedule, MemoryBreakdown, ClusterSpec]:
     """Build the schedule and memory breakdown for a scenario (no simulation)."""
     spec = replace(cluster, num_nodes=scenario.nodes)
-    model = _resolve_model(scenario.model)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        units = build_units(model, scenario.local_batch)
-        plan = make_plan(units, scenario.strategy, spec)
-        acts = activation_bytes(model, scenario.local_batch,
-                                model=activation_model)
+    units, acts = _workload(scenario.model, scenario.local_batch,
+                            activation_model)
+    plan = make_plan(units, scenario.strategy, spec)
     mem = memory_footprint(plan, acts)
     sched = step_schedule(plan, scenario.policy, local_batch=scenario.local_batch)
     return sched, mem, spec
@@ -399,10 +408,10 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
     in-memory forms agree.
 
     A model's units are built once.  Across node counts the step DAG of a
-    (model, strategy) changes shape only when a group becomes or stops being
-    a singleton, or when a hybrid all-reduce's shard bytes change with the
-    shard-group size: each shape is built and compiled once, then bound to
-    the groups of every node count that has it.
+    (model, strategy) changes shape only when its shard or replica group
+    becomes or stops being a singleton; the strategy fixes the rest of what
+    `step_schedule` reads from a plan.  Each shape is built and compiled
+    once, then bound to the groups of every node count that has it.
     """
     if not models or not strategies or not node_counts:
         raise ConfigError("models, strategies, and node_counts must be non-empty")
@@ -410,11 +419,7 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
     policy = policy or PrefetchPolicy()
     rows: list[SweepRow] = []
     for model in models:
-        config = _resolve_model(model)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            units = build_units(config, local_batch)
-            acts = activation_bytes(config, local_batch)
+        units, acts = _workload(model, local_batch)
         for strategy in strategies:
             # Shape key -> the shape and, per stream, whether it is the shard
             # group (else the replica group).
@@ -429,10 +434,7 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
                     continue
                 shard = plan.groups.shard_group_of(0)
                 replica = plan.groups.replica_group_of(0)
-                gathers, replica_reduce = len(shard) > 1, len(replica) > 1
-                # Everything `step_schedule` reads from a plan but its ranks.
-                key = (gathers, plan.reshards_params, replica_reduce,
-                       len(shard) if gathers and replica_reduce else 0)
+                key = (len(shard) > 1, len(replica) > 1)
                 if key not in shapes:
                     shape = _ScheduleShape(step_schedule(
                         plan, policy, local_batch=local_batch))
@@ -549,8 +551,8 @@ def calibrate(observations, cluster: ClusterSpec,
                               f"finite number > 0, got {measured!r}")
         try:
             sched, _, spec = prepare_scenario(scenario, cluster)
-        except TopologyError as exc:
-            raise TopologyError(f"observations[{i}]: {exc}") from exc
+        except (ConfigError, TopologyError) as exc:
+            raise type(exc)(f"observations[{i}]: {exc}") from exc
         compiled = _compile(sched, spec)
         global_batch = sched.world * sched.local_batch
         prepared.append((compiled, spec.peak_flops_per_gpu, global_batch,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .arch import BACKWARD_MULTIPLIER, MAEConfig, ViTConfig, flops, \
-    mae_param_count, param_count
+    param_count
 from .cluster import ClusterSpec, ProcessGroups, build_groups
 from .collectives import ALL_GATHER, ALL_REDUCE, REDUCE_SCATTER
 from .errors import ConfigError
@@ -157,13 +157,9 @@ def build_units(model: ViTConfig | MAEConfig, batch: int) -> tuple[Unit, ...]:
     """Split a model into the root unit plus one unit per block, with FLOPs
     already scaled by the local batch."""
     profile = flops(model, batch)
+    breakdown = param_count(model)
     mult = BACKWARD_MULTIPLIER
-    if isinstance(model, ViTConfig):
-        breakdown = param_count(model)
-        depth, dec_depth = model.depth, 0
-    else:
-        breakdown = mae_param_count(model)
-        depth, dec_depth = model.encoder.depth, model.decoder_depth
+    depth, dec_depth = model.encoder.depth, model.decoder_depth
     root_params = breakdown.grand_total - breakdown.blocks_total \
         - breakdown.decoder_blocks_total
     root_fwd = (profile.encoder_total - profile.per_block_forward * depth) \

@@ -14,7 +14,6 @@ from shardsim import (
     block_forward_flops,
     flops,
     get_model,
-    mae_param_count,
     param_count,
     reference_report,
     token_count,
@@ -130,7 +129,7 @@ class TestMAEParamCount:
         encoder = ViTConfig(width=768, depth=12, mlp=3072, heads=12,
                             patch_size=16, image_size=224)
         mae = MAEConfig(encoder=encoder)
-        b = mae_param_count(mae)
+        b = param_count(mae)
         assert b.decoder_per_block == 3_152_384
         assert b.decoder_per_block == enumerate_block_tensors(512, 2048)
         assert b.decoder_blocks_total == 8 * 3_152_384
@@ -141,7 +140,7 @@ class TestMAEParamCount:
 
     def test_mask_ratio_never_changes_params(self):
         encoder = PRESETS["vit-base"]
-        totals = {mae_param_count(MAEConfig(encoder=encoder, mask_ratio=r)).grand_total
+        totals = {param_count(MAEConfig(encoder=encoder, mask_ratio=r)).grand_total
                   for r in (0.0, 0.5, 0.75, 0.9)}
         assert len(totals) == 1
 
@@ -149,12 +148,12 @@ class TestMAEParamCount:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             enc_total = param_count(PRESETS["vit-3b"]).grand_total
-            mae_total = mae_param_count(MAEConfig(encoder=PRESETS["vit-3b"])).grand_total
+            mae_total = param_count(MAEConfig(encoder=PRESETS["vit-3b"])).grand_total
         assert mae_total < 1.15 * enc_total
 
     def test_grand_total_is_component_sum(self):
         mae = MAEConfig(encoder=TINY)
-        b = mae_param_count(mae)
+        b = param_count(mae)
         assert b.grand_total == sum(b.components().values())
 
     def test_mask_ratio_bounds(self):

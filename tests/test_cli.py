@@ -123,9 +123,11 @@ class TestSweep:
         import os
         import subprocess
         import sys
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         outputs = []
         for seed in ("1", "4242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
             result = subprocess.run(
                 [sys.executable, "-m", "shardsim", *self.ARGS],
                 capture_output=True, env=env, check=True)

@@ -707,6 +707,16 @@ class TestCalibrate:
                            "group size 16 does not divide world size 8$"):
             calibrate([first, (unbuildable, 500.0)], frontier(1),
                       refinement_rounds=0)
+        unknown = Scenario("vit-bse", Strategy.full_shard(), 1)
+        with pytest.raises(ConfigError, match=r"^observations\[1\]: unknown "
+                           "model preset 'vit-bse'$"):
+            calibrate([first, (unknown, 500.0)], frontier(1),
+                      refinement_rounds=0)
+        empty = Scenario("vit-base", Strategy.full_shard(), 1, local_batch=0)
+        with pytest.raises(ConfigError, match=r"^observations\[1\]: batch "
+                           "must be >= 1, got 0$"):
+            calibrate([first, (empty, 500.0)], frontier(1),
+                      refinement_rounds=0)
 
     @pytest.mark.parametrize("grid", ([0.0, 0.5], [0.5, 1.5], [math.nan], []))
     def test_efficiency_grid_outside_unit_interval_rejected(self, grid):

@@ -8,7 +8,8 @@ rows of one simulation.  The ``calibrate`` digests were produced at 5b2975b
 at 4c10f7b (before streams ran in issue order), the memory digests at
 ab4242f (before one rule in `sharding` derived what a plan shards), the
 per-policy sweep digests at 8660751 (before a sweep built each step DAG once
-per shape and bound it to every node count's groups).
+per shape and bound it to every node count's groups), the arch and params
+digests at dacdba2 (before `arch` alone told a ViT from an MAE).
 """
 
 import hashlib
@@ -20,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from shardsim import Scenario, Strategy, calibrate, frontier, \
-    prepare_scenario, run_scenario, simulate_step
+from shardsim import CHECKPOINTED, FULL_CACHE, PRESETS, Scenario, Strategy, \
+    activation_bytes, build_units, calibrate, flops, frontier, get_model, \
+    param_count, prepare_scenario, run_scenario, simulate_step
 from shardsim.cli import run
 
 # The `sweep` CSV over the benchmark's sweep-wide matrix.
@@ -226,6 +228,21 @@ CALIBRATE_5B_SHA256 = \
 CALIBRATE_ROUND_TRIP_SHA256 = \
     "173cdf8b4274d09bc26f31c0b9560660bc8816e131b4a1a1a97c7d872c29fdab"
 
+# Every vit-* preset and the mae-* preset wrapping it.
+ARCH_MODELS = tuple(PRESETS) + tuple(
+    "mae-" + name[len("vit-"):] for name in PRESETS)
+
+# repr() of param_count, flops at batches 1, 7 and 32, activation_bytes at
+# batch 32 under both activation models, and build_units at batch 32, for
+# each of ARCH_MODELS, one per line.
+ARCH_SHA256 = \
+    "a2e83cc0508556d47e2934ba7a05c13a5c9f841116e2534901b5ae77d977cb78"
+
+# `params --model M --format json` for each of ARCH_MODELS, concatenated;
+# pins the order of ParamBreakdown.components().
+PARAMS_SHA256 = \
+    "50f4f4ee4b8d046009a6c96f3045b1daf775192f3cdd6c2a49ae23eafaf4f627"
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # The stdout of each `demos/0*.py`, run from a fresh interpreter.
@@ -325,6 +342,24 @@ def test_calibrate_round_trip():
         for s in scenarios]
     fitted = calibrate(observations, spec)
     assert sha256(repr(fitted)) == CALIBRATE_ROUND_TRIP_SHA256
+
+
+def test_arch_accounting():
+    rows = []
+    for name in ARCH_MODELS:
+        model = get_model(name)
+        rows.append(repr(param_count(model)))
+        rows.extend(repr(flops(model, batch)) for batch in (1, 7, 32))
+        rows.extend(repr(activation_bytes(model, 32, model=kind))
+                    for kind in (CHECKPOINTED, FULL_CACHE))
+        rows.append(repr(build_units(model, 32)))
+    assert sha256("\n".join(rows)) == ARCH_SHA256
+
+
+def test_params_report(capsys):
+    out = "".join(cli_output(capsys, "params", "--model", name,
+                             "--format", "json") for name in ARCH_MODELS)
+    assert sha256(out) == PARAMS_SHA256
 
 
 def test_every_demo_is_pinned():
