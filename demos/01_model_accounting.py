@@ -48,7 +48,7 @@ print(f"  train step total (fwd + 2x bwd) TFLOPs: "
 print()
 
 print("== The decoder is cheap per token next to a large encoder ==")
-large = flops(MAEConfig(encoder=PRESETS["vit-large"]), batch=1, mask_ratio=0.0)
+large = flops(MAEConfig(encoder=PRESETS["vit-large"], mask_ratio=0.0), batch=1)
 print(f"  vit-large, equal token counts: decoder/encoder = "
       f"{large.decoder_total / large.encoder_total:.3f}")
 print()

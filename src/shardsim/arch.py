@@ -16,9 +16,9 @@ Conventions:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 
 _INT64_MAX = 2**63 - 1
 
@@ -26,6 +26,8 @@ FULL_CACHE = "full-cache"
 CHECKPOINTED = "checkpointed"
 
 BACKWARD_MULTIPLIER = 2.0   # backward FLOPs per forward FLOP
+ACTIVATION_PRECISION = 4    # bytes per activation value (fp32)
+ACTIVATION_FACTOR = 8       # (tokens, width) tensors one block keeps
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,7 @@ class ViTConfig:
     num_classes: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for name in ("width", "depth", "mlp", "heads", "patch_size",
                      "image_size", "in_channels"):
             value = getattr(self, name)
@@ -89,6 +92,7 @@ class MAEConfig:
     mask_ratio: float = 0.75
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ConfigError(
                 f"mask_ratio must lie in [0, 1), got {self.mask_ratio}")
@@ -172,7 +176,8 @@ class ActivationEstimate:
     the (heads, tokens, tokens) attention maps for every block.  checkpointed
     keeps one (tokens, width) boundary tensor per block plus a single block's
     factor tensors; attention maps are assumed fused (recomputed in streaming
-    fashion) and never materialized.  `factor` is the one documented knob.
+    fashion) and never materialized.  `factor` is `ACTIVATION_FACTOR` and
+    every value takes `ACTIVATION_PRECISION` bytes.
     """
 
     bytes_per_rank: int
@@ -271,25 +276,15 @@ def block_forward_flops(tokens: int, width: int, mlp: int) -> float:
         + 4.0 * tokens * tokens * width
 
 
-def encoder_tokens(cfg: ViTConfig | MAEConfig) -> int:
-    """Token count the encoder runs on (an MAE's visible patches plus cls)."""
-    return _tokens(cfg)[3]
-
-
-def flops(cfg: ViTConfig | MAEConfig, batch: int,
-          mask_ratio: float | None = None) -> FlopProfile:
+def flops(cfg: ViTConfig | MAEConfig, batch: int) -> FlopProfile:
     """Forward FLOP profile of one training step's model evaluation.
 
-    For MAE configs the encoder runs on the visible tokens only while the
-    decoder always sees the full sequence at decoder width.  `mask_ratio`
-    overrides the config's and is only legal for MAE configs.
+    For MAE configs the encoder runs on the visible tokens only (the config's
+    `mask_ratio` decides how many) while the decoder always sees the full
+    sequence at decoder width.
     """
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
-    if mask_ratio is not None:
-        if isinstance(cfg, ViTConfig):
-            raise ConfigError("mask_ratio does not apply to a plain ViTConfig")
-        cfg = replace(cfg, mask_ratio=mask_ratio)
     enc, patch_tokens, seq, t_enc = _tokens(cfg)
     patch_dim = enc.patch_size ** 2 * enc.in_channels
     per_block = batch * block_forward_flops(t_enc, enc.width, enc.mlp)
@@ -314,7 +309,8 @@ def flops(cfg: ViTConfig | MAEConfig, batch: int,
 
 
 def _stack_bytes(depth: int, batch: int, tokens: int, width: int, heads: int,
-                 precision: int, model: str, factor: int) -> int:
+                 model: str) -> int:
+    factor, precision = ACTIVATION_FACTOR, ACTIVATION_PRECISION
     per_block = factor * tokens * width + heads * tokens * tokens
     full = depth * batch * per_block * precision
     if model == FULL_CACHE:
@@ -326,13 +322,10 @@ def _stack_bytes(depth: int, batch: int, tokens: int, width: int, heads: int,
 
 
 def activation_bytes(cfg: ViTConfig | MAEConfig, batch: int,
-                     precision: int = 4, model: str = CHECKPOINTED,
-                     factor: int = 8) -> ActivationEstimate:
+                     model: str = CHECKPOINTED) -> ActivationEstimate:
     """Activation-memory estimate per rank under the declared model."""
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
-    if precision not in (2, 4):
-        raise ConfigError(f"precision must be 2 or 4 bytes, got {precision}")
     if model not in (FULL_CACHE, CHECKPOINTED):
         raise ConfigError(f"unknown activation model {model!r}")
     enc, _, seq, t_enc = _tokens(cfg)
@@ -340,9 +333,9 @@ def activation_bytes(cfg: ViTConfig | MAEConfig, batch: int,
     if isinstance(cfg, MAEConfig):
         stacks.append((cfg.decoder_depth, seq, cfg.decoder_width,
                        cfg.decoder_heads))
-    total = sum(_stack_bytes(d, batch, t, w, h, precision, model, factor)
-                for d, t, w, h in stacks)
-    return ActivationEstimate(bytes_per_rank=total, model=model, factor=factor)
+    total = sum(_stack_bytes(d, batch, t, w, h, model) for d, t, w, h in stacks)
+    return ActivationEstimate(bytes_per_rank=total, model=model,
+                              factor=ACTIVATION_FACTOR)
 
 
 # Named presets.  Image size 512 matches the pretraining workload; the

@@ -21,31 +21,45 @@ from .cluster import CLUSTER_PRESETS, ClusterSpec, GiB
 from .engine import IoModel, Scenario, calibrate, prepare_scenario, \
     run_scenario, sweep
 from .errors import ConfigError, TopologyError
-from .sharding import PrefetchPolicy, Strategy
+from .sharding import PREFETCH_MODES, PrefetchPolicy, Strategy
 
 ENV_OUTPUT_DIR = "SHARDSIM_OUTPUT_DIR"
 
 FORMATS = ("pretty-table", "json", "csv")
 
-# Every field a run config may set, with the JSON types its value may take:
-# the `properties` of docs/runconfig.schema.json, and the dest of every flag a
-# config can default.  A JSON integer is also a number.
+# Every run field: the JSON types a run config may give it (the `properties`
+# of docs/runconfig.schema.json; a JSON integer is also a number), its flag,
+# and the flag's other `add_argument` options.  The flag's dest is the field.
 CONFIG_FIELDS = {
-    "model": ("string", "object"),
-    "cluster": ("string", "object"),
-    "strategy": ("string",),
-    "nodes": ("integer",),
-    "local_batch": ("integer",),
-    "prefetch": ("string",),
-    "limit_all_gathers": ("boolean",),
-    "max_inflight": ("integer",),
-    "io_rate": ("number",),
-    "efficiency": ("number",),
-    "latency_scale": ("number",),
-    "strategies": ("string",),
-    "activation_model": ("string",),
-    "observations": ("string",),
+    "model": (("string", "object"), "--model",
+              {"help": "model preset, e.g. vit-3b or mae-3b"}),
+    "strategy": (("string",), "--strategy",
+                 {"help": "no-shard|full|grad-op|hybridN|ddp"}),
+    "cluster": (("string", "object"), "--cluster",
+                {"help": "cluster preset (frontier) or config"}),
+    "nodes": (("integer",), "--nodes", {"help": "node count"}),
+    "local_batch": (("integer",), "--local-batch", {"type": int}),
+    "prefetch": (("string",), "--prefetch", {"choices": PREFETCH_MODES}),
+    "limit_all_gathers": (("boolean",), "--no-limit-all-gathers",
+                          {"action": "store_const", "const": False}),
+    "max_inflight": (("integer",), "--max-inflight", {"type": int}),
+    "strategies": (("string",), "--strategies",
+                   {"help": "comma-separated strategy list"}),
+    "io_rate": (("number",), "--io-rate",
+                {"type": float, "help": "input images/second per rank"}),
+    "efficiency": (("number",), "--efficiency", {"type": float}),
+    "latency_scale": (("number",), "--latency-scale", {"type": float}),
+    "activation_model": (("string",), "--activation-model",
+                         {"choices": (CHECKPOINTED, FULL_CACHE)}),
+    "observations": (("string",), "--observations",
+                     {"help": "JSON file of measured ips points"}),
 }
+
+# The fields that describe one scenario, and the three that tune its
+# simulation.
+_RUN = ("model", "strategy", "cluster", "nodes", "local_batch", "prefetch",
+        "limit_all_gathers", "max_inflight")
+_TUNING = ("io_rate", "efficiency", "latency_scale")
 
 # Every field an entry of a calibrate observations file may set.
 OBSERVATION_FIELDS = ("model", "strategy", "nodes", "local_batch",
@@ -78,7 +92,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if key not in CONFIG_FIELDS:
                 raise CLIError("config", f"unknown field {key!r}")
             kind = _json_type(value)
-            allowed = CONFIG_FIELDS[key]
+            allowed = CONFIG_FIELDS[key][0]
             if kind not in allowed and not (kind == "integer"
                                             and "number" in allowed):
                 raise CLIError(key, f"invalid value {value!r}")
@@ -112,7 +126,7 @@ def _pick(args: argparse.Namespace, config: dict, field: str, default=None,
     `parse` types both sources before they are compared (a flag may arrive as
     text, a config value as a number); a value it rejects names the field.
     """
-    flag = getattr(args, field.replace("-", "_"), None)
+    flag = getattr(args, field, None)
     if flag is not None:
         flag = _typed(field, flag, parse)
     if field not in config:
@@ -171,7 +185,7 @@ def _resolve_cluster(value, nodes: int, field: str = "cluster") -> ClusterSpec:
             raise CLIError("nodes", str(exc))
     if isinstance(value, dict):
         try:
-            return ClusterSpec(**{**value, "num_nodes": nodes})
+            return ClusterSpec(num_nodes=nodes, **value)
         except (ConfigError, TypeError) as exc:
             raise CLIError(field, f"invalid inline cluster spec: {exc}")
     raise CLIError(field, "must be a preset name or an inline object")
@@ -187,9 +201,10 @@ def _resolve_strategy(value, field: str = "strategy") -> Strategy:
 
 
 def _resolve_policy(args, config) -> PrefetchPolicy:
-    mode = _pick(args, config, "prefetch", "backward-pre")
-    limit = _pick(args, config, "limit_all_gathers", True)
-    inflight = _pick(args, config, "max_inflight", 2)
+    mode = _pick(args, config, "prefetch", PrefetchPolicy.mode)
+    limit = _pick(args, config, "limit_all_gathers",
+                  PrefetchPolicy.limit_all_gathers)
+    inflight = _pick(args, config, "max_inflight", PrefetchPolicy.max_inflight)
     try:
         policy = PrefetchPolicy(mode=mode)
     except ConfigError as exc:
@@ -201,25 +216,25 @@ def _resolve_policy(args, config) -> PrefetchPolicy:
         raise CLIError("max_inflight", str(exc))
 
 
-def _io_model(args, config) -> IoModel | None:
-    rate = _pick(args, config, "io_rate", parse=float)
-    if rate is None:
-        return None
-    try:
-        return IoModel(images_per_second_per_rank=rate)
-    except ConfigError as exc:
-        raise CLIError("io_rate", str(exc))
-
-
-def _with_efficiency(args, config, cluster: ClusterSpec) -> ClusterSpec:
-    """The cluster at the requested fraction of peak, when one is given."""
-    efficiency = _pick(args, config, "efficiency", parse=float)
-    if efficiency is None:
-        return cluster
-    try:
-        return replace(cluster, compute_efficiency=efficiency)
-    except ConfigError as exc:
-        raise CLIError("efficiency", str(exc))
+def _tuning(args, config, cluster: ClusterSpec) -> tuple[ClusterSpec, dict]:
+    """The cluster at the requested fraction of peak, and the `io` and
+    `latency_scale` keywords of `run_scenario` and `sweep` that the run sets;
+    an unset one keeps the library's default."""
+    keywords = {}
+    for field in _TUNING:
+        value = _pick(args, config, field, parse=float)
+        if value is None:
+            continue
+        try:
+            if field == "io_rate":
+                keywords["io"] = IoModel(images_per_second_per_rank=value)
+            elif field == "efficiency":
+                cluster = replace(cluster, compute_efficiency=value)
+            else:
+                keywords[field] = value
+        except ConfigError as exc:
+            raise CLIError(field, str(exc))
+    return cluster, keywords
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -254,13 +269,12 @@ def _format_kv(rows: list[tuple[str, str]], fmt: str) -> str:
 
 def _cmd_params(args) -> str:
     config = _merge_config(args)
-    model = _resolve_model(_pick(args, config, "model"))
-    breakdown = param_count(model)
+    model_name = _pick(args, config, "model")
+    breakdown = param_count(_resolve_model(model_name))
     rows = [(name, str(count)) for name, count in breakdown.components().items()
             if count]
     rows.append(("per_block", str(breakdown.per_block)))
     rows.append(("grand_total", str(breakdown.grand_total)))
-    model_name = _pick(args, config, "model")
     if isinstance(model_name, str):
         for entry in reference_report():
             if entry["model"] == model_name.lower():
@@ -276,7 +290,8 @@ def _scenario_from(args, config) -> tuple[Scenario, ClusterSpec]:
     strategy = _resolve_strategy(_pick(args, config, "strategy"))
     nodes = _pick(args, config, "nodes", 1, parse=_count)
     cluster = _resolve_cluster(_pick(args, config, "cluster"), nodes)
-    batch = _pick(args, config, "local_batch", 32, parse=_count)
+    batch = _pick(args, config, "local_batch", Scenario.local_batch,
+                  parse=_count)
     policy = _resolve_policy(args, config)
     scenario = Scenario(model=model, strategy=strategy, nodes=nodes,
                         local_batch=batch, policy=policy)
@@ -321,12 +336,9 @@ def _cmd_schedule(args) -> str:
 def _cmd_simulate(args) -> str:
     config = _merge_config(args)
     scenario, cluster = _scenario_from(args, config)
-    io = _io_model(args, config)
-    cluster = _with_efficiency(args, config, cluster)
-    latency_scale = _pick(args, config, "latency_scale", 1.0, parse=float)
+    cluster, tuning = _tuning(args, config, cluster)
     try:
-        metrics = run_scenario(scenario, cluster, io=io,
-                               latency_scale=latency_scale)
+        metrics = run_scenario(scenario, cluster, **tuning)
     except TopologyError as exc:
         raise CLIError("strategy", str(exc))
     rows = [
@@ -336,8 +348,7 @@ def _cmd_simulate(args) -> str:
         ("comm_fraction", f"{metrics.comm_fraction:.4f}"),
         ("compute_seconds", f"{metrics.compute_seconds:.6f}"),
         ("io_seconds", f"{metrics.io_seconds:.6f}"),
-        ("peak_gib", _gib(metrics.peak_memory.total_bytes)
-         if metrics.peak_memory else ""),
+        ("peak_gib", _gib(metrics.peak_memory.total_bytes)),
         ("feasible", "yes" if metrics.feasible else "no"),
     ]
     return _format_kv(rows, args.format)
@@ -362,14 +373,13 @@ def _cmd_sweep(args) -> str:
     node_counts = _pick(args, config, "nodes", parse=_count_list)
     if not node_counts:
         raise CLIError("nodes", "a comma-separated node-count list is required")
-    cluster = _resolve_cluster(_pick(args, config, "cluster"), 1)
-    cluster = _with_efficiency(args, config, cluster)
-    batch = _pick(args, config, "local_batch", 32, parse=_count)
+    cluster, tuning = _tuning(
+        args, config, _resolve_cluster(_pick(args, config, "cluster"), 1))
+    batch = _pick(args, config, "local_batch", Scenario.local_batch,
+                  parse=_count)
     policy = _resolve_policy(args, config)
-    io = _io_model(args, config)
-    latency_scale = _pick(args, config, "latency_scale", 1.0, parse=float)
     table = sweep(models, strategies, node_counts, cluster, policy=policy,
-                  local_batch=batch, io=io, latency_scale=latency_scale)
+                  local_batch=batch, **tuning)
     if args.format == "json":
         return table.to_json(indent=2)
     if args.format == "pretty-table":
@@ -412,7 +422,8 @@ def _cmd_calibrate(args) -> str:
                 model=_resolve_model(entry["model"], field),
                 strategy=Strategy.parse(entry["strategy"]),
                 nodes=_count(entry["nodes"]),
-                local_batch=_count(entry.get("local_batch", 32)),
+                local_batch=_count(entry.get("local_batch",
+                                             Scenario.local_batch)),
             )
             measured = entry["measured_ips"]
             if _json_type(measured) not in ("integer", "number"):
@@ -434,59 +445,26 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="shardsim",
         description="Plan and simulate sharded data-parallel ViT training steps.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, model=True, run=False) -> None:
+    for command, func, text, fields in (
+            ("params", _cmd_params, "parameter breakdown for a model",
+             ("model",)),
+            ("memory", _cmd_memory, "per-rank memory under a strategy",
+             _RUN + ("activation_model",)),
+            ("schedule", _cmd_schedule, "task-graph dump as JSON", _RUN),
+            ("simulate", _cmd_simulate, "single-scenario step metrics",
+             _RUN + _TUNING),
+            ("sweep", _cmd_sweep, "weak-scaling sweep table",
+             _RUN + ("strategies",) + _TUNING),
+            ("calibrate", _cmd_calibrate, "fit efficiency/latency to data",
+             ("observations", "cluster"))):
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON run config supplying defaults")
         p.add_argument("--format", choices=FORMATS, default="pretty-table")
         p.add_argument("--output", help="write the report to this path")
-        if model:
-            p.add_argument("--model", help="model preset, e.g. vit-3b or mae-3b")
-        if run:
-            p.add_argument("--strategy", help="no-shard|full|grad-op|hybridN|ddp")
-            p.add_argument("--cluster", help="cluster preset (frontier) or config")
-            p.add_argument("--nodes", help="node count")
-            p.add_argument("--local-batch", dest="local_batch", type=int)
-            p.add_argument("--prefetch", choices=("none", "backward-post",
-                                                  "backward-pre"))
-            p.add_argument("--no-limit-all-gathers", dest="limit_all_gathers",
-                           action="store_const", const=False)
-            p.add_argument("--max-inflight", dest="max_inflight", type=int)
-
-    p_params = sub.add_parser("params", help="parameter breakdown for a model")
-    common(p_params)
-    p_params.set_defaults(func=_cmd_params)
-
-    p_memory = sub.add_parser("memory", help="per-rank memory under a strategy")
-    common(p_memory, run=True)
-    p_memory.add_argument("--activation-model", dest="activation_model",
-                          choices=(CHECKPOINTED, FULL_CACHE))
-    p_memory.set_defaults(func=_cmd_memory)
-
-    p_schedule = sub.add_parser("schedule", help="task-graph dump as JSON")
-    common(p_schedule, run=True)
-    p_schedule.set_defaults(func=_cmd_schedule)
-
-    p_sim = sub.add_parser("simulate", help="single-scenario step metrics")
-    common(p_sim, run=True)
-    p_sim.add_argument("--io-rate", dest="io_rate", type=float,
-                       help="input images/second per rank")
-    p_sim.add_argument("--efficiency", type=float)
-    p_sim.add_argument("--latency-scale", dest="latency_scale", type=float)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="weak-scaling sweep table")
-    common(p_sweep, run=True)
-    p_sweep.add_argument("--strategies", help="comma-separated strategy list")
-    p_sweep.add_argument("--io-rate", dest="io_rate", type=float)
-    p_sweep.add_argument("--efficiency", type=float)
-    p_sweep.add_argument("--latency-scale", dest="latency_scale", type=float)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_cal = sub.add_parser("calibrate", help="fit efficiency/latency to data")
-    common(p_cal, model=False)
-    p_cal.add_argument("--observations", help="JSON file of measured ips points")
-    p_cal.add_argument("--cluster", help="cluster preset or config")
-    p_cal.set_defaults(func=_cmd_calibrate)
+        for field in fields:
+            _, flag, options = CONFIG_FIELDS[field]
+            p.add_argument(flag, dest=field, **options)
+        p.set_defaults(func=func)
     return parser
 
 

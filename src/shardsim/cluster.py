@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, TopologyError
+from .errors import ConfigError, TopologyError, check_field_types
 
 GiB = 1024**3
 
@@ -30,6 +30,7 @@ class ClusterSpec:
     compute_efficiency: float = 0.45   # calibratable fraction of peak
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.num_nodes < 1 or self.gpus_per_node < 1:
             raise ConfigError("num_nodes and gpus_per_node must be >= 1")
         if self.hbm_bytes_per_gpu < 1:

@@ -397,7 +397,8 @@ class SweepTable:
 
 
 def sweep(models, strategies, node_counts, cluster: ClusterSpec,
-          policy: PrefetchPolicy | None = None, local_batch: int = 32,
+          policy: PrefetchPolicy | None = None,
+          local_batch: int = Scenario.local_batch,
           io: IoModel | None = None, latency_scale: float = 1.0) -> SweepTable:
     """Weak-scaling sweep: one row per (model, strategy, node count).
 

@@ -108,26 +108,21 @@ class Strategy:
 
     @staticmethod
     def parse(text: str) -> "Strategy":
+        """The strategy whose `label` is `text`, ignoring case and surrounding
+        spaces."""
         key = text.strip().lower() if isinstance(text, str) else ""
-        if key in ("no-shard", "noshard", "no_shard"):
-            return Strategy.no_shard()
-        if key in ("full", "full-shard", "full_shard"):
-            return Strategy.full_shard()
-        if key in ("grad-op", "grad_op", "shard-grad-op", "shard_grad_op"):
-            return Strategy.grad_op_shard()
-        if key in ("ddp", "replicated"):
-            return Strategy.replicated()
-        if key.startswith("hybrid"):
-            suffix = key[len("hybrid"):]
-            if suffix.isdigit():
-                return Strategy.hybrid(int(suffix))
+        size = key[len("hybrid"):]
+        if key.startswith("hybrid") and size.isascii() and size.isdigit():
+            return Strategy.hybrid(int(size))
+        if key != "hybrid" and key in {kind.value for kind in StrategyKind}:
+            return Strategy(StrategyKind(key))
         raise ConfigError(f"unknown strategy {text!r}")
 
 
 PREFETCH_NONE = "none"
 PREFETCH_BACKWARD_POST = "backward-post"
 PREFETCH_BACKWARD_PRE = "backward-pre"
-_PREFETCH_MODES = (PREFETCH_NONE, PREFETCH_BACKWARD_POST, PREFETCH_BACKWARD_PRE)
+PREFETCH_MODES = (PREFETCH_NONE, PREFETCH_BACKWARD_POST, PREFETCH_BACKWARD_PRE)
 
 
 @dataclass(frozen=True)
@@ -137,7 +132,7 @@ class PrefetchPolicy:
     max_inflight: int = 2
 
     def __post_init__(self) -> None:
-        if self.mode not in _PREFETCH_MODES:
+        if self.mode not in PREFETCH_MODES:
             raise ConfigError(f"unknown prefetch mode {self.mode!r}")
         if self.limit_all_gathers and self.max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1 when limiting all-gathers")

@@ -75,8 +75,8 @@ def test_criterion_1_parameter_reproduction():
 
 def test_criterion_2_decoder_fraction():
     started = time.perf_counter()
-    profile = flops(MAEConfig(encoder=PRESETS["vit-large"]), batch=1,
-                    mask_ratio=0.0)
+    profile = flops(MAEConfig(encoder=PRESETS["vit-large"], mask_ratio=0.0),
+                    batch=1)
     ratio = profile.decoder_total / profile.encoder_total
     assert ratio < 0.10
     elapsed = time.perf_counter() - started

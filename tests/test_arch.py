@@ -192,16 +192,13 @@ class TestFlops:
             profile = flops(mae, 1)
         assert profile.tokens_encoder == round(0.25 * 1296) + 1 == 325
 
-    def test_mask_ratio_rejected_for_plain_vit(self):
-        with pytest.raises(ConfigError):
-            flops(PRESETS["vit-base"], 1, mask_ratio=0.75)
-
     def test_decoder_fraction_below_ten_percent(self):
         # Same token count on both stacks compares per-token cost directly.
         for name in ("vit-large", "vit-huge", "vit-3b"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                profile = flops(MAEConfig(encoder=PRESETS[name]), 1, mask_ratio=0.0)
+                mae = MAEConfig(encoder=PRESETS[name], mask_ratio=0.0)
+                profile = flops(mae, 1)
             assert profile.decoder_total / profile.encoder_total < 0.10
 
     def test_backward_multiplier(self):
@@ -215,7 +212,7 @@ class TestActivationBytes:
         # depth 1, t=2 (1 patch + cls), w=4, heads 1, factor 8, 4-byte:
         # 8*2*4*4 + 1*2*2*4 = 256 + 16 = 272
         cfg = ViTConfig(width=4, depth=1, mlp=8, heads=1, patch_size=4, image_size=4)
-        estimate = activation_bytes(cfg, 1, precision=4, model=FULL_CACHE)
+        estimate = activation_bytes(cfg, 1, model=FULL_CACHE)
         assert estimate.bytes_per_rank == 272
 
     def test_batch_linearity(self):
@@ -234,9 +231,7 @@ class TestActivationBytes:
         ckpt = activation_bytes(cfg, 3, model=CHECKPOINTED).bytes_per_rank
         assert ckpt <= full
 
-    def test_precision_validation(self):
-        with pytest.raises(ConfigError):
-            activation_bytes(TINY, 1, precision=8)
+    def test_argument_validation(self):
         with pytest.raises(ConfigError):
             activation_bytes(TINY, 0)
         with pytest.raises(ConfigError):

@@ -1,11 +1,14 @@
 import argparse
 import json
-from dataclasses import asdict
+import math
+from dataclasses import MISSING, asdict, fields
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
-from shardsim import SweepTable, get_model
+from shardsim import ClusterSpec, MAEConfig, PrefetchPolicy, Scenario, \
+    SweepTable, ViTConfig, get_model, prepare_scenario, run_scenario, sweep
 from shardsim.cli import CONFIG_FIELDS, _build_parser, _json_type, run
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "runconfig.schema.json"
@@ -258,6 +261,51 @@ class TestConfigFile:
         assert err.startswith("error: model: sweep takes comma-separated "
                               "preset names")
 
+    VIT_BASE = asdict(get_model("vit-base"))
+    CLUSTER = {"peak_flops_per_gpu": 191.5e12}
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("simulate", {"cluster": {"peak_flops_per_gpu": math.nan}},
+         "cluster: invalid inline cluster spec: peak_flops_per_gpu must be "
+         "a finite number, got nan"),
+        ("simulate", {"cluster": {**CLUSTER, "inter_node_latency": math.nan}},
+         "cluster: invalid inline cluster spec: inter_node_latency must be "
+         "a finite number, got nan"),
+        ("simulate", {"cluster": {**CLUSTER, "gpus_per_node": 2.5}},
+         "cluster: invalid inline cluster spec: gpus_per_node must be an "
+         "integer, got 2.5"),
+        ("simulate", {"cluster": {**CLUSTER, "hbm_bytes_per_gpu": True}},
+         "cluster: invalid inline cluster spec: hbm_bytes_per_gpu must be an "
+         "integer, got True"),
+        ("simulate", {"cluster": {**CLUSTER, "num_nodes": 64}},
+         "cluster: invalid inline cluster spec: shardsim.cluster.ClusterSpec()"
+         " got multiple values for keyword argument 'num_nodes'"),
+        ("simulate", {"model": {**VIT_BASE, "depth": 12.5}},
+         "model: invalid inline model config: depth must be an integer, "
+         "got 12.5"),
+        ("params", {"model": {**VIT_BASE, "depth": 12.5}},
+         "model: invalid inline model config: depth must be an integer, "
+         "got 12.5"),
+        ("params", {"model": {**VIT_BASE, "include_cls_token": 1}},
+         "model: invalid inline model config: include_cls_token must be a "
+         "boolean, got 1"),
+        ("params", {"model": {"encoder": VIT_BASE, "mask_ratio": math.inf}},
+         "model: invalid inline model config: mask_ratio must be a finite "
+         "number, got inf"),
+        ("params", {"model": {"encoder": VIT_BASE, "decoder_depth": 8.0}},
+         "model: invalid inline model config: decoder_depth must be an "
+         "integer, got 8.0"),
+    ])
+    def test_inline_object_off_schema_names_field(self, capsys, tmp_path,
+                                                  command, config, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": "vit-base", "strategy": "full",
+                                    **config}))
+        code, out, err = invoke(capsys, command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_unknown_field_rejected(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"model": "vit-base", "strategy": "full",
@@ -284,7 +332,40 @@ class TestConfigFile:
             return set().union(*map(types, spec["oneOf"]))
 
         for field, spec in schema["properties"].items():
-            assert set(CONFIG_FIELDS[field]) == types(spec), field
+            assert set(CONFIG_FIELDS[field][0]) == types(spec), field
+
+    def test_schema_objects_match_library(self):
+        defs = json.loads(SCHEMA.read_text(encoding="utf-8"))["$defs"]
+        for name, cls in (("vit", ViTConfig), ("mae", MAEConfig),
+                          ("cluster", ClusterSpec)):
+            spec = defs[name]
+            library = [f for f in fields(cls) if f.name != "num_nodes"]
+            assert sorted(spec["properties"]) == \
+                sorted(f.name for f in library), name
+            assert sorted(spec["required"]) == \
+                sorted(f.name for f in library if f.default is MISSING), name
+            assert {k: v["default"] for k, v in spec["properties"].items()
+                    if "default" in v} == \
+                {f.name: f.default for f in library
+                 if f.default is not MISSING}, name
+
+    def test_schema_defaults_match_library(self):
+        schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
+        latency_scales = {signature(fn).parameters["latency_scale"].default
+                          for fn in (run_scenario, sweep)}
+        assert len(latency_scales) == 1
+        assert signature(sweep).parameters["local_batch"].default == \
+            Scenario.local_batch
+        assert {k: v["default"] for k, v in schema["properties"].items()
+                if "default" in v} == {
+            "local_batch": Scenario.local_batch,
+            "prefetch": PrefetchPolicy.mode,
+            "limit_all_gathers": PrefetchPolicy.limit_all_gathers,
+            "max_inflight": PrefetchPolicy.max_inflight,
+            "latency_scale": latency_scales.pop(),
+            "activation_model": signature(prepare_scenario)
+            .parameters["activation_model"].default,
+        }
 
     def test_every_flag_is_a_config_field(self):
         subparsers = next(action for action in _build_parser()._actions
@@ -407,6 +488,15 @@ class TestFlagValues:
                               "--strategy", "full", "--max-inflight", "0")
         assert code == 2
         assert err.startswith("error: max_inflight:")
+
+    @pytest.mark.parametrize("strategy", ["full-shard", "replicated",
+                                          "hybrid\u00b2"])
+    def test_unknown_strategy_names_field(self, capsys, strategy):
+        code, out, err = invoke(capsys, "simulate", "--model", "vit-base",
+                                "--strategy", strategy)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: strategy: unknown strategy {strategy!r}\n"
 
     @pytest.mark.parametrize("scale", ["-5", "0", "nan", "inf"])
     def test_bad_latency_scale_names_field(self, capsys, scale):

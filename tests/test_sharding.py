@@ -71,6 +71,17 @@ class TestStrategy:
         with pytest.raises(ConfigError):
             Strategy.parse("zigzag")
 
+    @pytest.mark.parametrize("text", [
+        "hybrid", "noshard", "no_shard", "full-shard", "full_shard",
+        "grad_op", "shard-grad-op", "shard_grad_op", "replicated"])
+    def test_parse_accepts_only_labels(self, text):
+        with pytest.raises(ConfigError):
+            Strategy.parse(text)
+
+    def test_parse_folds_case_and_spaces(self):
+        assert Strategy.parse(" Full ") == Strategy.full_shard()
+        assert Strategy.parse("HYBRID4") == Strategy.hybrid(4)
+
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
             PrefetchPolicy(mode="sometime")
