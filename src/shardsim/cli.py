@@ -10,6 +10,7 @@ the offending field and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -92,9 +93,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if key not in CONFIG_FIELDS:
                 raise CLIError("config", f"unknown field {key!r}")
             kind = _json_type(value)
-            allowed = CONFIG_FIELDS[key][0]
-            if kind not in allowed and not (kind == "integer"
-                                            and "number" in allowed):
+            allowed, _, options = CONFIG_FIELDS[key]
+            if kind == "integer" and "number" in allowed:
+                kind = "number"
+            if kind not in allowed \
+                    or value not in options.get("choices", (value,)):
                 raise CLIError(key, f"invalid value {value!r}")
     return config
 
@@ -138,18 +141,17 @@ def _pick(args: argparse.Namespace, config: dict, field: str, default=None,
 
 
 def _count(value) -> int:
-    """An integer count that must be >= 1 (nodes, local batch), given as an
-    integer or as the text of one."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """An integer count that must be >= 1 (nodes, local batch)."""
+    if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"count must be an integer, got {value!r}")
-    number = int(value)
-    if number < 1:
-        raise ValueError(f"count must be >= 1, got {number}")
-    return number
+    if value < 1:
+        raise ValueError(f"count must be >= 1, got {value}")
+    return value
 
 
 def _count_list(value) -> list[int]:
-    return [_count(n) for n in str(value).split(",") if n.strip()]
+    """Counts from a config integer or a flag's comma-separated text."""
+    return [_count(int(n)) for n in str(value).split(",") if n.strip()]
 
 
 def _resolve_model(value, field: str = "model"):
@@ -206,12 +208,8 @@ def _resolve_policy(args, config) -> PrefetchPolicy:
                   PrefetchPolicy.limit_all_gathers)
     inflight = _pick(args, config, "max_inflight", PrefetchPolicy.max_inflight)
     try:
-        policy = PrefetchPolicy(mode=mode)
-    except ConfigError as exc:
-        raise CLIError("prefetch", str(exc))
-    try:
-        return replace(policy, limit_all_gathers=limit,
-                       max_inflight=inflight)
+        return PrefetchPolicy(mode=mode, limit_all_gathers=limit,
+                              max_inflight=inflight)
     except ConfigError as exc:
         raise CLIError("max_inflight", str(exc))
 
@@ -288,7 +286,7 @@ def _scenario_from(args, config) -> tuple[Scenario, ClusterSpec]:
     """The one scenario builder of `memory`, `schedule` and `simulate`."""
     model = _resolve_model(_pick(args, config, "model"))
     strategy = _resolve_strategy(_pick(args, config, "strategy"))
-    nodes = _pick(args, config, "nodes", 1, parse=_count)
+    nodes = _pick(args, config, "nodes", 1, parse=lambda n: _count(int(n)))
     cluster = _resolve_cluster(_pick(args, config, "cluster"), nodes)
     batch = _pick(args, config, "local_batch", Scenario.local_batch,
                   parse=_count)
@@ -302,8 +300,6 @@ def _cmd_memory(args) -> str:
     config = _merge_config(args)
     scenario, cluster = _scenario_from(args, config)
     activation_model = _pick(args, config, "activation_model", CHECKPOINTED)
-    if activation_model not in (CHECKPOINTED, FULL_CACHE):
-        raise CLIError("activation_model", f"unknown model {activation_model!r}")
     try:
         _, memory, _ = prepare_scenario(scenario, cluster, activation_model)
     except TopologyError as exc:
@@ -440,26 +436,31 @@ def _cmd_calibrate(args) -> str:
     }, indent=2)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: flags are refused unless spelled out,
+    and each command takes only the fields it reads."""
     parser = argparse.ArgumentParser(
         prog="shardsim",
         description="Plan and simulate sharded data-parallel ViT training steps.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, func, text, fields in (
+    sweep_run = tuple(f for f in _RUN if f != "strategy")
+    for command, func, text, formats, fields in (
             ("params", _cmd_params, "parameter breakdown for a model",
-             ("model",)),
+             FORMATS, ("model",)),
             ("memory", _cmd_memory, "per-rank memory under a strategy",
-             _RUN + ("activation_model",)),
-            ("schedule", _cmd_schedule, "task-graph dump as JSON", _RUN),
+             FORMATS, _RUN + ("activation_model",)),
+            ("schedule", _cmd_schedule, "task-graph dump as JSON",
+             ("json",), _RUN),
             ("simulate", _cmd_simulate, "single-scenario step metrics",
-             _RUN + _TUNING),
+             FORMATS, _RUN + _TUNING),
             ("sweep", _cmd_sweep, "weak-scaling sweep table",
-             _RUN + ("strategies",) + _TUNING),
+             FORMATS, sweep_run + ("strategies",) + _TUNING),
             ("calibrate", _cmd_calibrate, "fit efficiency/latency to data",
-             ("observations", "cluster"))):
-        p = sub.add_parser(command, help=text)
+             ("json",), ("observations", "cluster"))):
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
         p.add_argument("--config", help="JSON run config supplying defaults")
-        p.add_argument("--format", choices=FORMATS, default="pretty-table")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", help="write the report to this path")
         for field in fields:
             _, flag, options = CONFIG_FIELDS[field]

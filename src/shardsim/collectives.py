@@ -29,6 +29,18 @@ ALL_REDUCE = "all-reduce"
 _KINDS = (ALL_GATHER, REDUCE_SCATTER, ALL_REDUCE)
 
 
+def check_collective(kind: str, nbytes: float, group: range) -> None:
+    """Raise `ValueError` unless `kind` is a collective kind, `nbytes` is
+    >= 0 and `group` is a non-empty ascending rank range."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown collective kind {kind!r}")
+    if nbytes < 0:
+        raise ValueError("payload bytes must be >= 0")
+    if not isinstance(group, range) or not group or group.step < 1:
+        raise ValueError(
+            "collective group must be a non-empty ascending rank range")
+
+
 @dataclass(frozen=True)
 class CollectiveCall:
     kind: str
@@ -36,14 +48,7 @@ class CollectiveCall:
     group: range
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown collective kind {self.kind!r}")
-        if self.bytes < 0:
-            raise ValueError("payload bytes must be >= 0")
-        if not isinstance(self.group, range) or not self.group \
-                or self.group.step < 1:
-            raise ValueError(
-                "collective group must be a non-empty ascending rank range")
+        check_collective(self.kind, self.bytes, self.group)
 
 
 def group_nodes(group: range, cluster: ClusterSpec) -> int:

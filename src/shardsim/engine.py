@@ -33,8 +33,7 @@ from dataclasses import asdict, dataclass, replace
 from .arch import CHECKPOINTED, ActivationEstimate, MAEConfig, ViTConfig, \
     activation_bytes, get_model
 from .cluster import ClusterSpec
-from .collectives import CollectiveCall, group_channel, group_nodes, \
-    ring_terms
+from .collectives import group_channel, group_nodes, ring_terms
 from .errors import ConfigError, TopologyError
 from .sharding import COMPUTE, FREE, MemoryBreakdown, PrefetchPolicy, \
     StepSchedule, Strategy, Unit, build_units, make_plan, memory_footprint, \
@@ -119,25 +118,17 @@ class _ScheduleShape:
         self.terms: dict[tuple[str, float, int], list[int]] = {}
         streams: dict[range, int] = {}
         # A task waits for its deps and for the task issued before it on its
-        # stream; `StepSchedule` guarantees every dep has a lower id.
+        # stream; `StepSchedule` guarantees every dep has a lower id and
+        # every collective a valid kind, payload and group.
         self.preds: list[tuple[int, ...]] = []
         last: dict[int, int] = {}   # resource id -> its latest task so far
         for t in tasks:
             if t.kind == COMPUTE:
                 self.flops[t.id] = t.flops
             elif t.kind != FREE:
-                # Each distinct (kind, bytes, group) is validated where it
-                # first appears; a descending singleton equals an ascending
-                # one, so it never counts as seen.
-                group = t.group
-                stream = streams.get(group) if isinstance(group, range) \
-                    and group.step > 0 else None
-                ids = self.terms.get((t.kind, t.bytes, stream))
-                if ids is None:
-                    CollectiveCall(t.kind, t.bytes, group)
-                    stream = streams.setdefault(group, len(streams) + 1)
-                    ids = self.terms[(t.kind, t.bytes, stream)] = []
-                ids.append(t.id)
+                stream = streams.setdefault(t.group, len(streams) + 1)
+                key = (t.kind, t.bytes, stream)
+                self.terms.setdefault(key, []).append(t.id)
                 self.resources[t.id] = stream
             resource = self.resources[t.id]
             previous = last.get(resource)
@@ -197,7 +188,6 @@ class _CompiledSchedule:
 
     def durations(self, effective_flops: float,
                   latency_scale: float) -> list[float]:
-        _check_latency_scale(latency_scale)
         return [
             f / effective_flops if f else w + lat * latency_scale
             for f, w, lat in zip(self.flops, self.wire, self.latency)
@@ -278,6 +268,7 @@ def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
                   memory: MemoryBreakdown | None = None
                   ) -> tuple[EventTrace, StepMetrics]:
     """Simulate one step; return its event trace and throughput metrics."""
+    _check_latency_scale(latency_scale)
     compiled = _compile(schedule, cluster)
     start, end, metrics = _simulate(compiled, cluster, schedule.world,
                                     schedule.local_batch, io, latency_scale,

@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
 from .arch import BACKWARD_MULTIPLIER, MAEConfig, ViTConfig, flops, \
     param_count
 from .cluster import ClusterSpec, ProcessGroups, build_groups
-from .collectives import ALL_GATHER, ALL_REDUCE, REDUCE_SCATTER
+from .collectives import ALL_GATHER, ALL_REDUCE, REDUCE_SCATTER, \
+    check_collective
 from .errors import ConfigError
 
 COMPUTE = "compute"
@@ -286,7 +286,9 @@ class Task:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Dependency DAG of one training step for the canonical rank."""
+    """Dependency DAG of one training step for the canonical rank.  Building
+    one checks every task: its id is its position, its deps are earlier ids,
+    and a task that is neither compute nor free is a valid collective."""
 
     tasks: tuple[Task, ...]
     strategy: Strategy
@@ -302,6 +304,11 @@ class StepSchedule:
             if task.deps and not 0 <= min(task.deps) <= max(task.deps) < task.id:
                 raise ValueError(f"task {task.id}: deps must be task ids in "
                                  f"[0, {task.id}), got {task.deps}")
+            if task.kind != COMPUTE and task.kind != FREE:
+                try:
+                    check_collective(task.kind, task.bytes, task.group)
+                except ValueError as exc:
+                    raise ValueError(f"task {task.id}: {exc}") from None
 
     def by_kind(self, kind: str) -> list[Task]:
         return [t for t in self.tasks if t.kind == kind]
@@ -332,20 +339,6 @@ class StepSchedule:
         return json.dumps(payload, indent=indent)
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.tasks: list[Task] = []
-
-    def add(self, kind: str, unit: str, phase: str, *, bytes: int = 0,
-            flops: float = 0.0, group: range = range(0),
-            deps: Iterable[int] = ()) -> int:
-        task = Task(id=len(self.tasks), kind=kind, unit=unit, phase=phase,
-                    bytes=bytes, flops=flops, group=group,
-                    deps=tuple(sorted(set(deps))))
-        self.tasks.append(task)
-        return task.id
-
-
 def step_schedule(plan: ShardingPlan, policy: PrefetchPolicy,
                   local_batch: int = 0) -> StepSchedule:
     """Build the compute/collective DAG of one training step under a plan.
@@ -356,7 +349,14 @@ def step_schedule(plan: ShardingPlan, policy: PrefetchPolicy,
     """
     units = plan.units
     n = len(units)
-    b = _Builder()
+    tasks: list[Task] = []
+
+    def add(kind: str, unit: Unit, phase: str, *, bytes: int = 0,
+            flops: float = 0.0, group: range = range(0), deps=()) -> int:
+        tasks.append(Task(id=len(tasks), kind=kind, unit=unit.name,
+                          phase=phase, bytes=bytes, flops=flops, group=group,
+                          deps=tuple(sorted(set(deps)))))
+        return len(tasks) - 1
 
     shard_group = plan.groups.shard_group_of(0)
     replica_group = plan.groups.replica_group_of(0)
@@ -367,83 +367,81 @@ def step_schedule(plan: ShardingPlan, policy: PrefetchPolicy,
     # Gathers that may run ahead of their compute; n never binds.
     limit = policy.max_inflight if policy.limit_all_gathers else n
 
-    # Forward: all-gather (stream-ordered, limiter-capped), compute, free.
-    fwd_compute: list[int] = []
-    fwd_ag: list[int] = []
-    for i, unit in enumerate(units):
-        compute_deps = fwd_compute[-1:]
-        if gathers:
-            ag_deps = fwd_ag[-1:]
-            if i >= limit:
-                ag_deps.append(fwd_compute[i - limit])
-            fwd_ag.append(b.add(ALL_GATHER, unit.name, FORWARD,
-                                bytes=plan.unit_full_bytes(unit),
-                                group=shard_group, deps=ag_deps))
-            compute_deps.append(fwd_ag[-1])
-        fwd_compute.append(b.add(COMPUTE, unit.name, FORWARD,
-                                 flops=unit.forward_flops, deps=compute_deps))
-        if reshards:
-            b.add(FREE, unit.name, FORWARD, deps=(fwd_compute[-1],))
+    # Per pass: its units in order, then the ids of its computes and of its
+    # all-gathers, by position.
+    passes = {FORWARD: (units, [], []), BACKWARD: (units[::-1], [], [])}
+    _, fwd_compute, fwd_ag = passes[FORWARD]
+    backward, bwd_compute, bwd_ag = passes[BACKWARD]
 
-    # Backward, reverse unit order.
-    backward = units[::-1]
-    bwd_compute: list[int] = []
-    bwd_ag: list[int] = []
-    bucket_fill = 0
-
-    def gather_next(anchor: int) -> None:
-        """Issue the backward all-gather of the next position, if the plan
-        re-shards parameters and a position is left."""
-        k = len(bwd_ag)
-        if not reshards or k == n:
+    def gather(phase: str, *anchor: int) -> None:
+        """Issue the all-gather of the pass's next unit, if one is left.  It
+        follows the pass's previous gather and `anchor`; once `limit` gathers
+        run ahead, it also waits for the compute `limit` positions back, if
+        that compute is issued."""
+        order, computes, issued = passes[phase]
+        k = len(issued)
+        if k == n:
             return
-        deps = [anchor, *bwd_ag[-1:]]
-        if 0 <= k - limit < len(bwd_compute):
-            deps.append(bwd_compute[k - limit])
-        bwd_ag.append(b.add(ALL_GATHER, backward[k].name, BACKWARD,
-                            bytes=plan.unit_full_bytes(backward[k]),
-                            group=shard_group, deps=deps))
+        deps = [*anchor, *issued[-1:]]
+        if 0 <= k - limit < len(computes):
+            deps.append(computes[k - limit])
+        issued.append(add(ALL_GATHER, order[k], phase,
+                          bytes=plan.unit_full_bytes(order[k]),
+                          group=shard_group, deps=deps))
 
+    # Forward: all-gather (stream-ordered, limiter-capped), compute, free.
+    for unit in units:
+        if gathers:
+            gather(FORWARD)
+        fwd_compute.append(add(COMPUTE, unit, FORWARD,
+                               flops=unit.forward_flops,
+                               deps=fwd_compute[-1:] + fwd_ag[-1:]))
+        if reshards:
+            add(FREE, unit, FORWARD, deps=fwd_compute[-1:])
+
+    # Backward, reverse unit order.  A plan that re-shards parameters gathers
+    # position 0 on entry and each next position per the prefetch policy.
+    bucket_fill = 0
     for k, unit in enumerate(backward):
         grad_ready = bwd_compute[-1] if bwd_compute else fwd_compute[-1]
-        if k == 0:
-            gather_next(grad_ready)
-        if policy.mode == PREFETCH_BACKWARD_PRE:
-            gather_next(grad_ready)
+        if reshards and k == 0:
+            gather(BACKWARD, grad_ready)
+        if reshards and policy.mode == PREFETCH_BACKWARD_PRE:
+            gather(BACKWARD, grad_ready)
 
-        c_id = b.add(COMPUTE, unit.name, BACKWARD, flops=unit.backward_flops,
-                     deps=[grad_ready, *bwd_ag[k:k + 1]])
+        c_id = add(COMPUTE, unit, BACKWARD, flops=unit.backward_flops,
+                   deps=[grad_ready, *bwd_ag[k:k + 1]])
         bwd_compute.append(c_id)
 
-        if policy.mode == PREFETCH_BACKWARD_POST:
-            gather_next(c_id)
+        if reshards and policy.mode == PREFETCH_BACKWARD_POST:
+            gather(BACKWARD, c_id)
 
         if gathers:
-            reduced = b.add(REDUCE_SCATTER, unit.name, BACKWARD,
-                            bytes=plan.unit_full_bytes(unit),
-                            group=shard_group, deps=(c_id,))
+            reduced = add(REDUCE_SCATTER, unit, BACKWARD,
+                          bytes=plan.unit_full_bytes(unit),
+                          group=shard_group, deps=(c_id,))
             if replica_reduce:   # hybrid: all-reduce the reduced shard
-                b.add(ALL_REDUCE, unit.name, BACKWARD,
-                      bytes=plan.unit_shard_bytes(unit), group=replica_group,
-                      deps=(reduced,))
-            if policy.mode == PREFETCH_NONE:
-                gather_next(reduced)
-            b.add(FREE, unit.name, BACKWARD, deps=(c_id,))
+                add(ALL_REDUCE, unit, BACKWARD,
+                    bytes=plan.unit_shard_bytes(unit), group=replica_group,
+                    deps=(reduced,))
+            if reshards and policy.mode == PREFETCH_NONE:
+                gather(BACKWARD, reduced)
+            add(FREE, unit, BACKWARD, deps=(c_id,))
         elif bucketed and replica_reduce:
             bucket_fill += plan.unit_full_bytes(unit)
             while bucket_fill >= plan.strategy.bucket_bytes:
-                b.add(ALL_REDUCE, unit.name, BACKWARD,
-                      bytes=plan.strategy.bucket_bytes, group=replica_group,
-                      deps=(c_id,))
+                add(ALL_REDUCE, unit, BACKWARD,
+                    bytes=plan.strategy.bucket_bytes, group=replica_group,
+                    deps=(c_id,))
                 bucket_fill -= plan.strategy.bucket_bytes
             if k == n - 1 and bucket_fill:
-                b.add(ALL_REDUCE, unit.name, BACKWARD, bytes=bucket_fill,
-                      group=replica_group, deps=(c_id,))
+                add(ALL_REDUCE, unit, BACKWARD, bytes=bucket_fill,
+                    group=replica_group, deps=(c_id,))
         elif replica_reduce:   # full-gradient all-reduce per unit
-            b.add(ALL_REDUCE, unit.name, BACKWARD,
-                  bytes=plan.unit_full_bytes(unit), group=replica_group,
-                  deps=(c_id,))
+            add(ALL_REDUCE, unit, BACKWARD,
+                bytes=plan.unit_full_bytes(unit), group=replica_group,
+                deps=(c_id,))
 
-    return StepSchedule(tasks=tuple(b.tasks), strategy=plan.strategy,
+    return StepSchedule(tasks=tuple(tasks), strategy=plan.strategy,
                         policy=policy, world=plan.cluster.world_size,
                         local_batch=local_batch)

@@ -619,7 +619,7 @@ class TestFlagValues:
         assert out == ""
         assert err == f"error: observations[1]: unknown field {key!r}\n"
 
-    @pytest.mark.parametrize("value", [2.7, True])
+    @pytest.mark.parametrize("value", [2.7, True, "32"])
     @pytest.mark.parametrize("field", ["nodes", "local_batch"])
     def test_non_integer_observation_count_names_entry(self, capsys, tmp_path,
                                                        field, value):
@@ -631,8 +631,57 @@ class TestFlagValues:
                                 str(path))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: observations[0]: count must be an "
-                              "integer")
+        assert err == "error: observations[0]: count must be an integer, " \
+                      f"got {value!r}\n"
+
+    @pytest.mark.parametrize("field", ["prefetch", "activation_model"])
+    @pytest.mark.parametrize("command", ["params", "memory", "schedule",
+                                         "simulate", "sweep", "calibrate"])
+    def test_bad_choice_in_config_names_field_for_every_command(
+            self, capsys, tmp_path, command, field):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([
+            {"model": "vit-base", "strategy": "full", "nodes": n,
+             "measured_ips": 1000.0 * n} for n in (1, 2)]))
+        run_args = {
+            "params": ("--model", "vit-base"),
+            "sweep": ("--model", "vit-base", "--strategies", "no-shard",
+                      "--nodes", "1"),
+            "calibrate": ("--observations", str(obs)),
+        }.get(command, self.RUN)
+        config = self.write(tmp_path, {field: "bogus"})
+        code, out, err = invoke(capsys, command, *run_args, "--config", config)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field}: invalid value 'bogus'\n"
+
+    @pytest.mark.parametrize("argv", [
+        # sweep reads `strategies`, never `strategy`
+        ("sweep", "--model", "vit-base", "--strategies", "full", "--nodes",
+         "1", "--strategy", "ddp"),
+        # abbreviations of --model, --nodes and --latency-scale
+        ("params", "--mod", "vit-base"),
+        ("simulate", "--model", "vit-base", "--strategy", "full", "--node",
+         "2"),
+        ("simulate", "--model", "vit-base", "--strategy", "full",
+         "--latency", "2"),
+        # schedule and calibrate print JSON only
+        ("schedule", "--model", "vit-base", "--strategy", "full", "--format",
+         "csv"),
+        ("calibrate", "--observations", "obs.json", "--format",
+         "pretty-table"),
+    ])
+    def test_flag_a_command_never_reads_is_refused(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "usage: shardsim" in err
+
+    def test_schedule_format_json_is_the_default(self, capsys):
+        run_args = ("schedule", "--model", "vit-base", "--strategy", "full")
+        code, out, err = invoke(capsys, *run_args, "--format", "json")
+        assert code == 0, err
+        assert out == invoke(capsys, *run_args)[1]
 
 
 class TestOutputDirEnv:

@@ -132,12 +132,12 @@ class TestSimulateStep:
     ])
     def test_bad_collective_rejected_on_a_seen_group(self, bad):
         # The bad task follows good ones on range(2) and on range(1), which
-        # equals the descending singleton range(0, -1, -1).
-        sched = manual_schedule([
-            self.GATHER, replace(self.GATHER, id=1, group=range(1)),
-            replace(self.GATHER, id=2, **bad)])
-        with pytest.raises(ValueError):
-            simulate_step(sched, LAB)
+        # equals the descending singleton range(0, -1, -1); the schedule
+        # refuses it when built.
+        with pytest.raises(ValueError, match="task 2: "):
+            manual_schedule([
+                self.GATHER, replace(self.GATHER, id=1, group=range(1)),
+                replace(self.GATHER, id=2, **bad)])
 
     def test_metrics_invariants(self):
         sched = step_schedule(
