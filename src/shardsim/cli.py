@@ -436,6 +436,17 @@ def _cmd_calibrate(args) -> str:
     }, indent=2)
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it refuses an argument it does not declare under
+    its own usage, which lists the flags it does take."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: flags are refused unless spelled out,
@@ -443,7 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shardsim",
         description="Plan and simulate sharded data-parallel ViT training steps.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
     sweep_run = tuple(f for f in _RUN if f != "strategy")
     for command, func, text, formats, fields in (
             ("params", _cmd_params, "parameter breakdown for a model",

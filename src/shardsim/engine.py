@@ -11,13 +11,12 @@ anywhere, so identical inputs produce identical traces.
 `simulate_step` is the one simulate entry point: it returns the event trace
 and the step metrics of one simulation together.
 
-A schedule compiles in two stages.  Its shape holds what does not depend on
-which ranks its groups hold: flops, each task's predecessors, and each
-collective's kind, bytes and stream.  Binding the shape to one group per
-stream on a cluster prices each distinct (stream, kind, bytes) once with the
-ring formula.  `simulate_step` and `calibrate` bind a schedule to its own
-groups; `sweep` builds one schedule per shape and binds it to the groups of
-every node count that shares that shape.
+A schedule compiles into one step object.  One walk gives flops, each
+task's predecessors and stream, and each collective's index into the distinct
+(kind, bytes, stream) terms, one stream per distinct group; each term is
+priced once with the ring formula.  `simulate_step` and `calibrate` compile a
+schedule on its own groups; `sweep` compiles one schedule per shape and binds
+it to the groups of every node count that shares that shape.
 
 The input stage is modeled as a pipelined source: in steady state the step
 time is max(simulated makespan, local_batch / io_rate); it never adds.
@@ -25,6 +24,7 @@ time is max(simulated makespan, local_batch / io_rate); it never adds.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import warnings
@@ -100,22 +100,33 @@ class StepMetrics:
         return self.peak_memory.feasible if self.peak_memory else True
 
 
-class _ScheduleShape:
-    """What a schedule's timing needs besides its groups' ranks: flops,
-    `preds`, and each collective's kind, bytes and stream.  A stream is one
-    distinct group, in order of first appearance; `groups` lists them, so
-    `bind(shape.groups, cluster)` compiles the schedule as it was built."""
+def _check_latency_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError("latency_scale: must be a finite number > 0, "
+                          f"got {scale!r}")
 
-    __slots__ = ("flops", "resources", "preds", "groups", "terms")
 
-    def __init__(self, schedule: StepSchedule) -> None:
+class _Step:
+    """A schedule's timing on one group per stream, reusable while only
+    compute efficiency and latency scale vary between simulations.
+
+    One walk of the schedule gives each task's flops, stream and `preds`, and
+    each collective's index into the distinct (kind, bytes, stream) terms.  A
+    stream is one distinct group, in order of first appearance, and `groups`
+    lists them.  Each term is priced once with the ring formula; `bind`
+    prices the same walk on other groups.
+    """
+
+    __slots__ = ("flops", "resources", "preds", "term_of", "term_keys",
+                 "groups", "terms", "stream_names")
+
+    def __init__(self, schedule: StepSchedule, cluster: ClusterSpec) -> None:
         tasks = schedule.tasks
         n = len(tasks)
         self.flops = [0.0] * n
         self.resources = [0] * n    # 0 is compute; k > 0 is groups[k - 1]
-        # (kind, bytes, stream) -> the ids of its tasks: `bind` times each
-        # distinct collective once.
-        self.terms: dict[tuple[str, float, int], list[int]] = {}
+        self.term_of = [-1] * n     # -1: a compute or FREE task moves nothing
+        terms: dict[tuple[str, int, int], int] = {}
         streams: dict[range, int] = {}
         # A task waits for its deps and for the task issued before it on its
         # stream; `StepSchedule` guarantees every dep has a lower id and
@@ -127,8 +138,8 @@ class _ScheduleShape:
                 self.flops[t.id] = t.flops
             elif t.kind != FREE:
                 stream = streams.setdefault(t.group, len(streams) + 1)
-                key = (t.kind, t.bytes, stream)
-                self.terms.setdefault(key, []).append(t.id)
+                self.term_of[t.id] = terms.setdefault(
+                    (t.kind, t.bytes, stream), len(terms))
                 self.resources[t.id] = stream
             resource = self.resources[t.id]
             previous = last.get(resource)
@@ -136,50 +147,30 @@ class _ScheduleShape:
                 t.deps if previous is None or previous in t.deps
                 else (*t.deps, previous))
             last[resource] = t.id
-        self.groups = tuple(streams)
+        self.term_keys = tuple(terms)
+        self._price(tuple(streams), cluster)
 
-    def bind(self, groups, cluster: ClusterSpec) -> "_CompiledSchedule":
-        """The schedule's timing terms with stream k on `groups[k]`."""
-        names = ["compute"]
+    def bind(self, groups, cluster: ClusterSpec) -> "_Step":
+        """This step with stream k on `groups[k - 1]`; it shares this step's
+        lists and prices only the terms."""
+        step = copy.copy(self)
+        step._price(groups, cluster)
+        return step
+
+    def _price(self, groups, cluster: ClusterSpec) -> None:
+        self.groups = tuple(groups)
+        self.stream_names = ["compute"]
         channels = []
         for group in groups:
             link = "inter" if group_nodes(group, cluster) > 1 else "intra"
             stride = group.step if len(group) > 1 else 0
-            names.append(f"comm:{link}:{group.start}+{stride}x{len(group)}")
+            self.stream_names.append(
+                f"comm:{link}:{group.start}+{stride}x{len(group)}")
             channels.append(group_channel(group, cluster))
-        n = len(self.flops)
-        wire = [0.0] * n        # bandwidth term, seconds
-        latency = [0.0] * n     # latency term at scale 1, seconds
-        for (kind, nbytes, stream), ids in self.terms.items():
-            w, lat = ring_terms(kind, nbytes, len(groups[stream - 1]),
-                                channels[stream - 1])
-            for tid in ids:
-                wire[tid] = w
-                latency[tid] = lat
-        return _CompiledSchedule(self, wire, latency, names)
-
-
-def _check_latency_scale(scale: float) -> None:
-    if not (math.isfinite(scale) and scale > 0):
-        raise ConfigError("latency_scale: must be a finite number > 0, "
-                          f"got {scale!r}")
-
-
-class _CompiledSchedule:
-    """Static timing terms of a schedule on a cluster, reusable while only
-    compute efficiency and latency scale vary between simulations."""
-
-    __slots__ = ("flops", "wire", "latency", "resources", "preds",
-                 "stream_names")
-
-    def __init__(self, shape: _ScheduleShape, wire: list[float],
-                 latency: list[float], stream_names: list[str]) -> None:
-        self.flops = shape.flops
-        self.resources = shape.resources
-        self.preds = shape.preds
-        self.wire = wire
-        self.latency = latency
-        self.stream_names = stream_names
+        # Each term's (bandwidth seconds, latency seconds at scale 1).
+        self.terms = [ring_terms(kind, nbytes, len(groups[stream - 1]),
+                                 channels[stream - 1])
+                      for kind, nbytes, stream in self.term_keys]
 
     @property
     def names(self) -> list[str]:
@@ -188,10 +179,11 @@ class _CompiledSchedule:
 
     def durations(self, effective_flops: float,
                   latency_scale: float) -> list[float]:
-        return [
-            f / effective_flops if f else w + lat * latency_scale
-            for f, w, lat in zip(self.flops, self.wire, self.latency)
-        ]
+        costs = [wire + latency * latency_scale
+                 for wire, latency in self.terms]
+        costs.append(0.0)   # term -1: compute and FREE tasks
+        return [f / effective_flops if f else costs[i]
+                for f, i in zip(self.flops, self.term_of)]
 
     def compute_seconds(self, durations: list[float]) -> float:
         """Sum of the compute stream's durations in task-id order.
@@ -221,13 +213,7 @@ class _CompiledSchedule:
         return start, end
 
 
-def _compile(schedule: StepSchedule, cluster: ClusterSpec) -> _CompiledSchedule:
-    """Compile a schedule on its own groups."""
-    shape = _ScheduleShape(schedule)
-    return shape.bind(shape.groups, cluster)
-
-
-def _simulate(compiled: _CompiledSchedule, cluster: ClusterSpec, world: int,
+def _simulate(step: _Step, cluster: ClusterSpec, world: int,
               local_batch: int, io: IoModel | None, latency_scale: float,
               memory: MemoryBreakdown | None
               ) -> tuple[list[float], list[float], StepMetrics]:
@@ -237,22 +223,21 @@ def _simulate(compiled: _CompiledSchedule, cluster: ClusterSpec, world: int,
     compute stream is a single dependency chain, so that sum is exactly the
     makespan of the step with every collective at zero duration.
     """
-    durations = compiled.durations(cluster.effective_flops_per_gpu,
-                                   latency_scale)
-    start, end = compiled.run(durations)
+    durations = step.durations(cluster.effective_flops_per_gpu, latency_scale)
+    start, end = step.run(durations)
     synthetic = max(end, default=0.0)
-    compute_seconds = compiled.compute_seconds(durations)
+    compute_seconds = step.compute_seconds(durations)
     exposed = max(0.0, synthetic - compute_seconds)
     fraction = exposed / synthetic if synthetic > 0 else 0.0
 
     io_seconds = 0.0
-    step = synthetic
+    seconds = synthetic
     if io is not None:
         io_seconds = local_batch / io.images_per_second_per_rank
-        step = max(synthetic, io_seconds)
-    ips = world * local_batch / step if step > 0 else 0.0
+        seconds = max(synthetic, io_seconds)
+    ips = world * local_batch / seconds if seconds > 0 else 0.0
     metrics = StepMetrics(
-        step_seconds=step,
+        step_seconds=seconds,
         images_per_second=ips,
         comm_seconds_exposed=exposed,
         comm_fraction=fraction,
@@ -269,11 +254,11 @@ def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
                   ) -> tuple[EventTrace, StepMetrics]:
     """Simulate one step; return its event trace and throughput metrics."""
     _check_latency_scale(latency_scale)
-    compiled = _compile(schedule, cluster)
-    start, end, metrics = _simulate(compiled, cluster, schedule.world,
+    step = _Step(schedule, cluster)
+    start, end, metrics = _simulate(step, cluster, schedule.world,
                                     schedule.local_batch, io, latency_scale,
                                     memory)
-    return EventTrace(start, end, compiled.names), metrics
+    return EventTrace(start, end, step.names), metrics
 
 
 @dataclass(frozen=True)
@@ -403,7 +388,9 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
     (model, strategy) changes shape only when its shard or replica group
     becomes or stops being a singleton; the strategy fixes the rest of what
     `step_schedule` reads from a plan.  Each shape is built and compiled
-    once, then bound to the groups of every node count that has it.
+    once, then bound to the groups of every node count that has it:
+    `step_schedule` issues shard-group collectives before replica-group ones
+    and omits singleton groups, so those are its streams in order.
     """
     if not models or not strategies or not node_counts:
         raise ConfigError("models, strategies, and node_counts must be non-empty")
@@ -413,9 +400,7 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
     for model in models:
         units, acts = _workload(model, local_batch)
         for strategy in strategies:
-            # Shape key -> the shape and, per stream, whether it is the shard
-            # group (else the replica group).
-            shapes: dict[tuple, tuple[_ScheduleShape, list[bool]]] = {}
+            steps: dict[tuple[bool, bool], _Step] = {}
             measured: list[tuple[int, StepMetrics | None]] = []
             for nodes in node_counts:
                 spec = replace(cluster, num_nodes=nodes)
@@ -427,15 +412,14 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
                 shard = plan.groups.shard_group_of(0)
                 replica = plan.groups.replica_group_of(0)
                 key = (len(shard) > 1, len(replica) > 1)
-                if key not in shapes:
-                    shape = _ScheduleShape(step_schedule(
-                        plan, policy, local_batch=local_batch))
-                    shapes[key] = shape, [g == shard for g in shape.groups]
-                shape, is_shard = shapes[key]
-                compiled = shape.bind(
-                    [shard if s else replica for s in is_shard], spec)
+                if key in steps:
+                    step = steps[key].bind(
+                        [g for g in (shard, replica) if len(g) > 1], spec)
+                else:
+                    step = steps[key] = _Step(step_schedule(
+                        plan, policy, local_batch=local_batch), spec)
                 _, _, metrics = _simulate(
-                    compiled, spec, spec.world_size, local_batch, io,
+                    step, spec, spec.world_size, local_batch, io,
                     latency_scale, memory_footprint(plan, acts))
                 measured.append((nodes, metrics))
             base = min(((n, m) for n, m in measured if m is not None),
@@ -545,10 +529,9 @@ def calibrate(observations, cluster: ClusterSpec,
             sched, _, spec = prepare_scenario(scenario, cluster)
         except (ConfigError, TopologyError) as exc:
             raise type(exc)(f"observations[{i}]: {exc}") from exc
-        compiled = _compile(sched, spec)
         global_batch = sched.world * sched.local_batch
-        prepared.append((compiled, spec.peak_flops_per_gpu, global_batch,
-                         measured))
+        prepared.append((_Step(sched, spec), spec.peak_flops_per_gpu,
+                         global_batch, measured))
 
     def loss(efficiency: float, scale: float,
              bound: float) -> tuple[float, int]:
@@ -557,11 +540,11 @@ def calibrate(observations, cluster: ClusterSpec,
         measured ips, -1 if each was <=, 0 if they were mixed."""
         total = 0.0
         fast = slow = True
-        for compiled, peak, global_batch, measured in prepared:
+        for step, peak, global_batch, measured in prepared:
             if total >= bound:
                 break
-            durations = compiled.durations(peak * efficiency, scale)
-            _, end = compiled.run(durations)
+            durations = step.durations(peak * efficiency, scale)
+            _, end = step.run(durations)
             ips = global_batch / max(end)
             fast = fast and ips >= measured
             slow = slow and ips <= measured

@@ -254,18 +254,17 @@ def memory_footprint(plan: ShardingPlan, activations) -> MemoryBreakdown:
     plan also holds one gathered unit's full parameters at peak.  Grad-op
     sharding keeps parameters resident.  Activations are never sharded.
     """
-    shard_elements = sum(math.ceil(u.params / plan.shard_group_size)
-                         for u in plan.units)
+    shard = sum(map(plan.unit_shard_bytes, plan.units))
     if plan.reshards_params:
-        params = shard_elements * PARAM_BYTES
-        gathered = max(u.params for u in plan.units) * PARAM_BYTES
+        params = shard
+        gathered = max(map(plan.unit_full_bytes, plan.units))
     else:
-        params = sum(plan.unit_full_bytes(u) for u in plan.units)
+        params = sum(map(plan.unit_full_bytes, plan.units))
         gathered = 0
     return MemoryBreakdown(
         params_bytes=params,
-        grads_bytes=shard_elements * PARAM_BYTES,
-        optimizer_bytes=shard_elements * OPTIMIZER_BYTES_PER_PARAM,
+        grads_bytes=shard,
+        optimizer_bytes=shard // PARAM_BYTES * OPTIMIZER_BYTES_PER_PARAM,
         activations_bytes=activations.bytes_per_rank,
         gathered_peak_bytes=gathered,
         hbm_bytes=plan.cluster.hbm_bytes_per_gpu,

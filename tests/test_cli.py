@@ -670,12 +670,17 @@ class TestFlagValues:
          "csv"),
         ("calibrate", "--observations", "obs.json", "--format",
          "pretty-table"),
+        # a flag no command declares
+        ("params", "--model", "vit-base", "--bogus", "1"),
     ])
     def test_flag_a_command_never_reads_is_refused(self, capsys, argv):
+        """Refused under the command's own usage, which lists the flags it
+        does take."""
         code, out, err = invoke(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "usage: shardsim" in err
+        assert err.startswith(f"usage: shardsim {argv[0]} ")
+        assert f"\nshardsim {argv[0]}: error: " in err
 
     def test_schedule_format_json_is_the_default(self, capsys):
         run_args = ("schedule", "--model", "vit-base", "--strategy", "full")

@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shardsim import (
@@ -32,8 +32,7 @@ from shardsim import (
     step_schedule,
     sweep,
 )
-from shardsim.engine import CalibratedParams, _CompiledSchedule, _compile, \
-    _geomspace, _linspace
+from shardsim.engine import CalibratedParams, _geomspace, _linspace, _Step
 
 warnings.simplefilter("ignore", UserWarning)
 
@@ -243,7 +242,7 @@ def reference_run(resources, deps, durations):
     (dict-keyed ready heaps and busy flags, a `try_start` closure): at every
     completion, each idle resource starts its lowest-id ready task.  It need
     not keep a stream's issue order, but on the schedules `step_schedule`
-    builds, and on DAGs that chain each stream, `_CompiledSchedule.run` must
+    builds, and on DAGs that chain each stream, `_Step.run` must
     return exactly its start and end times."""
     n = len(resources)
     children = [[] for _ in range(n)]
@@ -349,15 +348,15 @@ class TestEventLoop:
     @given(random_dags())
     def test_matches_reference_scheduler(self, dag):
         resources, deps, durations = dag
-        compiled = _compile(dag_schedule(resources, deps), LAB)
-        assert compiled.run(durations) == \
+        step = _Step(dag_schedule(resources, deps), LAB)
+        assert step.run(durations) == \
             reference_run(resources, deps, durations)
 
 
 @st.composite
-def step_schedules(draw):
-    """A `step_schedule` output over 1-8 random units, any strategy, prefetch
-    policy and node count, with the cluster it was planned on."""
+def plans(draw):
+    """A plan over 1-8 random units, any strategy and node count, and any
+    prefetch policy."""
     units = []
     for i in range(draw(st.integers(1, 8))):
         forward = draw(st.integers(1, 100)) * 1e8
@@ -375,9 +374,15 @@ def step_schedules(draw):
         mode=draw(st.sampled_from(("none", "backward-post", "backward-pre"))),
         limit_all_gathers=draw(st.booleans()),
         max_inflight=draw(st.integers(1, 4)))
-    schedule = step_schedule(make_plan(tuple(units), strategy, spec), policy,
-                             local_batch=1)
-    return schedule, spec
+    return make_plan(tuple(units), strategy, spec), policy
+
+
+@st.composite
+def step_schedules(draw):
+    """A `step_schedule` output of a `plans` output, with the cluster it was
+    planned on."""
+    plan, policy = draw(plans())
+    return step_schedule(plan, policy, local_batch=1), plan.cluster
 
 
 @st.composite
@@ -386,7 +391,7 @@ def step_cases(draw):
     are grid-like with zeros, random, or the model's own at a random compute
     efficiency and latency scale."""
     schedule, spec = draw(step_schedules())
-    compiled = _compile(schedule, spec)
+    step = _Step(schedule, spec)
     n = len(schedule.tasks)
     kind = draw(st.sampled_from(("grid", "random", "model")))
     if kind == "grid":
@@ -396,29 +401,76 @@ def step_cases(draw):
         durations = draw(st.lists(st.floats(0.0, 10.0), min_size=n,
                                   max_size=n))
     else:
-        durations = compiled.durations(
+        durations = step.durations(
             spec.peak_flops_per_gpu * draw(st.floats(0.05, 1.0)),
             draw(st.floats(0.1, 50.0)))
-    return schedule, compiled, durations
+    return schedule, step, durations
 
 
 class TestIssueOrder:
     @settings(max_examples=300, deadline=None)
     @given(step_cases())
     def test_step_schedules_match_list_scheduler(self, case):
-        schedule, compiled, durations = case
-        start, end = compiled.run(durations)
+        schedule, step, durations = case
+        start, end = step.run(durations)
         assert (start, end) == reference_run(
-            compiled.resources, [t.deps for t in schedule.tasks], durations)
-        assert_valid_timeline(schedule, compiled.resources, start, end)
+            step.resources, [t.deps for t in schedule.tasks], durations)
+        assert_valid_timeline(schedule, step.resources, start, end)
 
     @settings(max_examples=100, deadline=None)
     @given(random_dags(chain_streams=False))
     def test_any_dag_gives_a_valid_timeline(self, dag):
         resources, deps, durations = dag
         schedule = dag_schedule(resources, deps)
-        compiled = _compile(schedule, LAB)
-        assert_valid_timeline(schedule, resources, *compiled.run(durations))
+        step = _Step(schedule, LAB)
+        assert_valid_timeline(schedule, resources, *step.run(durations))
+
+
+def sweep_groups(plan):
+    """Rank 0's shard and replica groups, singletons dropped, in that order:
+    the groups `sweep` binds a step to."""
+    return [g for g in (plan.groups.shard_group_of(0),
+                        plan.groups.replica_group_of(0)) if len(g) > 1]
+
+
+def singletons(plan):
+    """Whether rank 0's shard and replica groups are single ranks."""
+    return [len(plan.groups.shard_group_of(0)) == 1,
+            len(plan.groups.replica_group_of(0)) == 1]
+
+
+class TestStreams:
+    """What `sweep`'s rebinding rests on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plans())
+    def test_streams_are_rank0_groups_in_order(self, case):
+        plan, policy = case
+        step = _Step(step_schedule(plan, policy, local_batch=1), plan.cluster)
+        assert step.groups == tuple(sweep_groups(plan))
+
+    @settings(max_examples=200, deadline=None)
+    @given(plans(), st.sampled_from((1, 2, 4, 8)),
+           st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.1, 50.0)),
+                    min_size=3, max_size=3))
+    def test_bind_matches_fresh_step(self, case, nodes, tunings):
+        plan, policy = case
+        try:
+            other = make_plan(plan.units, plan.strategy, frontier(nodes))
+        except TopologyError:
+            assume(False)
+        assume(singletons(plan) == singletons(other))
+        bound = _Step(step_schedule(plan, policy, local_batch=1),
+                      plan.cluster).bind(sweep_groups(other), other.cluster)
+        fresh = _Step(step_schedule(other, policy, local_batch=1),
+                      other.cluster)
+        assert bound.names == fresh.names
+        assert bound.preds == fresh.preds
+        peak = other.cluster.peak_flops_per_gpu
+        for efficiency, scale in tunings:
+            flops = peak * efficiency
+            assert [d.hex() for d in bound.durations(flops, scale)] == \
+                [d.hex() for d in fresh.durations(flops, scale)]
 
 
 @st.composite
@@ -440,12 +492,12 @@ class TestMonotoneTiming:
            ordered_pairs(0.01, 64.0))
     def test_makespan_monotone(self, case, efficiencies, scales):
         schedule, spec = case
-        compiled = _compile(schedule, spec)
+        step = _Step(schedule, spec)
 
         def makespan(efficiency, scale):
-            durations = compiled.durations(
+            durations = step.durations(
                 spec.peak_flops_per_gpu * efficiency, scale)
-            return max(compiled.run(durations)[1])
+            return max(step.run(durations)[1])
 
         (e_low, e_high), (s_low, s_high) = efficiencies, scales
         for s in scales:
@@ -807,15 +859,15 @@ def calibration_problems(draw):
 
 
 def count_simulations(monkeypatch):
-    """Count `_CompiledSchedule.run` calls from here on."""
+    """Count `_Step.run` calls from here on."""
     calls = [0]
-    run = _CompiledSchedule.run
+    run = _Step.run
 
     def counted(self, durations):
         calls[0] += 1
         return run(self, durations)
 
-    monkeypatch.setattr(_CompiledSchedule, "run", counted)
+    monkeypatch.setattr(_Step, "run", counted)
     return calls
 
 
