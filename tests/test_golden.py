@@ -9,7 +9,9 @@ at 4c10f7b (before streams ran in issue order), the memory digests at
 ab4242f (before one rule in `sharding` derived what a plan shards), the
 per-policy sweep digests at 8660751 (before a sweep built each step DAG once
 per shape and bound it to every node count's groups), the arch and params
-digests at dacdba2 (before `arch` alone told a ViT from an MAE).
+digests at dacdba2 (before `arch` alone told a ViT from an MAE), and the sweep
+JSON and pretty-table digests and the ``calibrate`` CLI digest at c632116
+(before each printed form read its record's fields from the dataclass).
 """
 
 import hashlib
@@ -33,6 +35,14 @@ SWEEP_ARGV = ("sweep", "--model", "mae-base,mae-3b",
               "--format", "csv")
 SWEEP_SHA256 = \
     "8625a10fcb9f8945725b8db0f798481a8a544d7516d1b7e1d70e8b9f55f04245"
+
+# The same matrix in the other two formats.
+SWEEP_FORMAT_SHA256 = {
+    "json":
+        "9f726d9db5273f6eb4805aa96d7ce06f2a000eca065f81156c01824c361dc93f",
+    "pretty-table":
+        "6b0c2a3202b288a2f714c1c2f2dc4f116e9fb6b5ecd619412174fdd9f2bba799",
+}
 
 STRATEGIES = ("full", "hybrid8", "hybrid16", "grad-op", "ddp", "no-shard")
 PREFETCH = ("none", "backward-post", "backward-pre")
@@ -228,6 +238,16 @@ CALIBRATE_5B_SHA256 = \
 CALIBRATE_ROUND_TRIP_SHA256 = \
     "173cdf8b4274d09bc26f31c0b9560660bc8816e131b4a1a1a97c7d872c29fdab"
 
+# The stdout of `calibrate --observations` on the two published 5B points.
+PUBLISHED_5B = [
+    {"model": "mae-5b", "strategy": "hybrid2", "nodes": 32,
+     "measured_ips": 1509.0},
+    {"model": "mae-5b", "strategy": "full", "nodes": 32,
+     "measured_ips": 1307.0},
+]
+CALIBRATE_CLI_SHA256 = \
+    "79a193bc66857534a0f1f216940473a0cc0dbc2bcb7cea6347839a39a47d30d8"
+
 # Every vit-* preset and the mae-* preset wrapping it.
 ARCH_MODELS = tuple(PRESETS) + tuple(
     "mae-" + name[len("vit-"):] for name in PRESETS)
@@ -271,6 +291,12 @@ def cli_output(capsys, *argv) -> str:
 
 def test_sweep_csv(capsys):
     assert sha256(cli_output(capsys, *SWEEP_ARGV)) == SWEEP_SHA256
+
+
+@pytest.mark.parametrize("fmt", sorted(SWEEP_FORMAT_SHA256))
+def test_sweep_formats(capsys, fmt):
+    out = cli_output(capsys, *SWEEP_ARGV[:-1], fmt)
+    assert sha256(out) == SWEEP_FORMAT_SHA256[fmt]
 
 
 @pytest.mark.parametrize("limiter", sorted(LIMITER_ARGV))
@@ -329,6 +355,13 @@ def test_calibrate_published_5b():
                     (Scenario("mae-5b", Strategy.full_shard(), 32), 1307.0)]
     fitted = calibrate(observations, frontier(1))
     assert sha256(repr(fitted)) == CALIBRATE_5B_SHA256
+
+
+def test_calibrate_cli(capsys, tmp_path):
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(PUBLISHED_5B))
+    out = cli_output(capsys, "calibrate", "--observations", str(path))
+    assert sha256(out) == CALIBRATE_CLI_SHA256
 
 
 def test_calibrate_round_trip():
