@@ -149,9 +149,15 @@ def _count(value) -> int:
     return value
 
 
-def _count_list(value) -> list[int]:
-    """Counts from a config integer or a flag's comma-separated text."""
-    return [_count(int(n)) for n in str(value).split(",") if n.strip()]
+def _pick_list(args, config, field: str, parse=str) -> list:
+    """A comma-separated list field: its non-blank items, each stripped and
+    typed by `parse`; a list with no item left names its field."""
+    items = _pick(args, config, field, parse=lambda value: [
+        parse(item.strip()) for item in str(value).split(",") if item.strip()])
+    if not items:
+        raise CLIError(field, "a comma-separated list of at least one item "
+                              "is required")
+    return items
 
 
 def _resolve_model(value, field: str = "model"):
@@ -352,23 +358,15 @@ def _cmd_simulate(args) -> str:
 
 def _cmd_sweep(args) -> str:
     config = _merge_config(args)
-    model_value = _pick(args, config, "model")
-    if model_value is None:
-        raise CLIError("model", "a model preset name is required")
-    if not isinstance(model_value, str):
+    if isinstance(config.get("model"), dict):
         raise CLIError("model", "sweep takes comma-separated preset names, "
                                 "not an inline model config")
-    models = [m.strip() for m in str(model_value).split(",") if m.strip()]
+    models = _pick_list(args, config, "model")
     for name in models:
         _resolve_model(name)
-    strategies_value = _pick(args, config, "strategies")
-    if not strategies_value:
-        raise CLIError("strategies", "a comma-separated strategy list is required")
-    strategies = [_resolve_strategy(s.strip(), "strategies")
-                  for s in str(strategies_value).split(",") if s.strip()]
-    node_counts = _pick(args, config, "nodes", parse=_count_list)
-    if not node_counts:
-        raise CLIError("nodes", "a comma-separated node-count list is required")
+    strategies = _pick_list(args, config, "strategies",
+                            lambda s: _resolve_strategy(s, "strategies"))
+    node_counts = _pick_list(args, config, "nodes", lambda n: _count(int(n)))
     cluster, tuning = _tuning(
         args, config, _resolve_cluster(_pick(args, config, "cluster"), 1))
     batch = _pick(args, config, "local_batch", Scenario.local_batch,
@@ -376,24 +374,17 @@ def _cmd_sweep(args) -> str:
     policy = _resolve_policy(args, config)
     table = sweep(models, strategies, node_counts, cluster, policy=policy,
                   local_batch=batch, **tuning)
-    if args.format == "json":
-        return table.to_json(indent=2)
-    if args.format == "pretty-table":
-        lines = [_CSV_PRETTY_HEADER]
-        for row in table.rows:
-            lines.append(
-                f"{row.model:<10} {row.strategy:<9} {row.nodes:>6} "
-                f"{'' if row.ips is None else f'{row.ips:.1f}':>12} "
-                f"{'' if row.ideal_ips is None else f'{row.ideal_ips:.1f}':>12} "
-                f"{'' if row.comm_fraction is None else f'{row.comm_fraction:.4f}':>9} "
-                f"{'' if row.peak_gb is None else f'{row.peak_gb:.2f}':>9} "
-                f"{'yes' if row.feasible else 'no':>8}")
-        return "\n".join(lines)
-    return table.to_csv()
-
-
-_CSV_PRETTY_HEADER = (f"{'model':<10} {'strategy':<9} {'nodes':>6} {'ips':>12} "
-                      f"{'ideal_ips':>12} {'comm':>9} {'peak_gb':>9} {'feasible':>8}")
+    if args.format != "pretty-table":
+        return table.to_json(indent=2) if args.format == "json" \
+            else table.to_csv()
+    # Pad each CSV cell to its column's width (a negative one left-aligns);
+    # a title wider than its column keeps its first word.
+    widths = (-10, -9, 6, 12, 12, 9, 9, 8)
+    rows = [line.split(",") for line in table.to_csv().splitlines()]
+    rows[0] = [title if len(title) <= abs(width) else title.split("_")[0]
+               for title, width in zip(rows[0], widths)]
+    return "\n".join(" ".join("%*s" % pad for pad in zip(widths, row))
+                      for row in rows)
 
 
 def _cmd_calibrate(args) -> str:
@@ -428,12 +419,7 @@ def _cmd_calibrate(args) -> str:
         except (KeyError, TypeError, ValueError) as exc:
             raise CLIError(field, str(exc))
         observations.append((scenario, measured))
-    fitted = calibrate(observations, cluster)
-    return json.dumps({
-        "compute_efficiency": fitted.compute_efficiency,
-        "effective_latency_scale": fitted.effective_latency_scale,
-        "residual": fitted.residual,
-    }, indent=2)
+    return json.dumps(vars(calibrate(observations, cluster)), indent=2)
 
 
 class _CommandParser(argparse.ArgumentParser):

@@ -28,7 +28,7 @@ import copy
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .arch import CHECKPOINTED, ActivationEstimate, MAEConfig, ViTConfig, \
     activation_bytes, get_model
@@ -318,21 +318,48 @@ def run_scenario(scenario: Scenario, cluster: ClusterSpec,
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep row.  Each metric's field gives the format of its CSV cell,
+    and a row holds the value that cell prints, so the CSV, JSON, and
+    in-memory forms agree.  A metric is None, an empty cell, where the
+    strategy cannot be built."""
+
     model: str
     strategy: str
     nodes: int
-    ips: float | None
-    ideal_ips: float | None
-    comm_fraction: float | None
-    peak_gb: float | None
+    ips: float | None = field(metadata={"format": ".1f"})
+    ideal_ips: float | None = field(metadata={"format": ".1f"})
+    comm_fraction: float | None = field(metadata={"format": ".4f"})
+    peak_gb: float | None = field(metadata={"format": ".2f"})
     feasible: bool
 
+    def __post_init__(self) -> None:
+        for column in _COLUMNS:
+            value = getattr(self, column.name)
+            if column.metadata and value is not None:
+                object.__setattr__(self, column.name,
+                                   float(_cell(value, column)))
 
-_CSV_HEADER = "model,strategy,nodes,ips,ideal_ips,comm_fraction,peak_gb,feasible"
+
+_COLUMNS = fields(SweepRow)     # a sweep table's columns, in CSV order
 
 
-def _fmt(value: float | None, decimals: int) -> str:
-    return "" if value is None else f"{value:.{decimals}f}"
+def _cell(value, column) -> str:
+    """A value's CSV cell: empty for None, yes or no for a flag."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return "" if value is None \
+        else format(value, column.metadata.get("format", ""))
+
+
+def _parse_cell(cell: str, column):
+    """The value `_cell` printed as `cell`; a flag must be yes or no."""
+    if column.type == "bool":
+        if cell not in ("yes", "no"):
+            raise ValueError(f"{column.name} must be yes or no, got {cell!r}")
+        return cell == "yes"
+    if column.metadata:
+        return float(cell) if cell else None
+    return int(cell) if column.type == "int" else cell
 
 
 @dataclass(frozen=True)
@@ -340,35 +367,31 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
     def to_csv(self) -> str:
-        lines = [_CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join([
-                r.model, r.strategy, str(r.nodes),
-                _fmt(r.ips, 1), _fmt(r.ideal_ips, 1),
-                _fmt(r.comm_fraction, 4), _fmt(r.peak_gb, 2),
-                "yes" if r.feasible else "no",
-            ]))
-        return "\n".join(lines) + "\n"
+        lines = [",".join(map(_cell, vars(row).values(), _COLUMNS))
+                 for row in self.rows]
+        return "\n".join([",".join(c.name for c in _COLUMNS), *lines, ""])
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps([asdict(r) for r in self.rows], indent=indent)
 
     @staticmethod
     def from_csv(text: str) -> "SweepTable":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0] != _CSV_HEADER:
+        """The table `to_csv` printed; a header or row it could not have
+        printed raises `ValueError` naming its line."""
+        lines = [(number, line) for number, line
+                 in enumerate(text.splitlines(), 1) if line.strip()]
+        if not lines or lines[0][1] != ",".join(c.name for c in _COLUMNS):
             raise ValueError("unrecognized sweep CSV header")
         rows = []
-        for line in lines[1:]:
-            cols = line.split(",")
-            rows.append(SweepRow(
-                model=cols[0], strategy=cols[1], nodes=int(cols[2]),
-                ips=float(cols[3]) if cols[3] else None,
-                ideal_ips=float(cols[4]) if cols[4] else None,
-                comm_fraction=float(cols[5]) if cols[5] else None,
-                peak_gb=float(cols[6]) if cols[6] else None,
-                feasible=cols[7] == "yes",
-            ))
+        for number, line in lines[1:]:
+            cells = line.split(",")
+            try:
+                if len(cells) != len(_COLUMNS):
+                    raise ValueError(f"expected {len(_COLUMNS)} cells, "
+                                     f"got {len(cells)}")
+                rows.append(SweepRow(*map(_parse_cell, cells, _COLUMNS)))
+            except ValueError as exc:
+                raise ValueError(f"sweep CSV line {number}: {exc}") from None
         return SweepTable(rows=tuple(rows))
 
 
@@ -380,9 +403,7 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
 
     Strategies that cannot be built at a node count produce a row marked
     infeasible instead of being dropped.  The ideal column scales the
-    throughput of the feasible row with the fewest nodes linearly.  Metric
-    values are quantized to their printed precision so the CSV, JSON, and
-    in-memory forms agree.
+    throughput of the feasible row with the fewest nodes linearly.
 
     A model's units are built once.  Across node counts the step DAG of a
     (model, strategy) changes shape only when its shard or replica group
@@ -432,12 +453,11 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
                 base_nodes, base_metrics = base
                 rows.append(SweepRow(
                     model=model, strategy=strategy.label, nodes=nodes,
-                    ips=round(metrics.images_per_second, 1),
-                    ideal_ips=round(base_metrics.images_per_second
-                                    * nodes / base_nodes, 1),
-                    comm_fraction=round(metrics.comm_fraction, 4),
-                    peak_gb=round(metrics.peak_memory.total_bytes / 1024**3,
-                                  2),
+                    ips=metrics.images_per_second,
+                    ideal_ips=base_metrics.images_per_second
+                    * nodes / base_nodes,
+                    comm_fraction=metrics.comm_fraction,
+                    peak_gb=metrics.peak_memory.total_bytes / 1024**3,
                     feasible=metrics.feasible))
     return SweepTable(rows=tuple(rows))
 

@@ -286,8 +286,9 @@ class Task:
 @dataclass(frozen=True)
 class StepSchedule:
     """Dependency DAG of one training step for the canonical rank.  Building
-    one checks every task: its id is its position, its deps are earlier ids,
-    and a task that is neither compute nor free is a valid collective."""
+    one checks the batch, which must be at least 1, and every task: its id is
+    its position, its deps are earlier ids, and a task that is neither
+    compute nor free is a valid collective."""
 
     tasks: tuple[Task, ...]
     strategy: Strategy
@@ -296,6 +297,9 @@ class StepSchedule:
     local_batch: int
 
     def __post_init__(self) -> None:
+        if self.local_batch < 1:
+            raise ConfigError(
+                f"local_batch must be >= 1, got {self.local_batch!r}")
         for position, task in enumerate(self.tasks):
             if task.id != position:
                 raise ValueError("task ids must match their positions")
@@ -317,29 +321,17 @@ class StepSchedule:
                 if t.kind in (ALL_GATHER, REDUCE_SCATTER, ALL_REDUCE)]
 
     def to_json(self, indent: int | None = None) -> str:
-        payload = {
+        return json.dumps({
             "strategy": self.strategy.label,
-            "prefetch": {
-                "mode": self.policy.mode,
-                "limit_all_gathers": self.policy.limit_all_gathers,
-                "max_inflight": self.policy.max_inflight,
-            },
+            "prefetch": vars(self.policy),
             "world": self.world,
             "local_batch": self.local_batch,
-            "tasks": [
-                {
-                    "id": t.id, "kind": t.kind, "unit": t.unit, "phase": t.phase,
-                    "bytes": t.bytes, "flops": t.flops,
-                    "group": list(t.group), "deps": list(t.deps),
-                }
-                for t in self.tasks
-            ],
-        }
-        return json.dumps(payload, indent=indent)
+            "tasks": [{**vars(t), "group": list(t.group)} for t in self.tasks],
+        }, indent=indent)
 
 
 def step_schedule(plan: ShardingPlan, policy: PrefetchPolicy,
-                  local_batch: int = 0) -> StepSchedule:
+                  local_batch: int) -> StepSchedule:
     """Build the compute/collective DAG of one training step under a plan.
 
     Collectives over singleton groups are no-ops and are omitted, which is

@@ -476,6 +476,19 @@ class TestFlagValues:
         assert code == 2
         assert err.startswith("error: nodes:")
 
+    @pytest.mark.parametrize("flags,field", [
+        (("--model", ",", "--strategies", "full", "--nodes", "1"), "model"),
+        (("--model", "vit-base", "--strategies", " , ", "--nodes", "1"),
+         "strategies"),
+        (("--model", "vit-base", "--strategies", "full", "--nodes", ","),
+         "nodes"),
+    ])
+    def test_empty_sweep_list_names_field(self, capsys, flags, field):
+        code, out, err = invoke(capsys, "sweep", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field}:")
+
     @pytest.mark.parametrize("command", ["memory", "schedule", "simulate"])
     def test_zero_local_batch_names_field(self, capsys, command):
         code, _, err = invoke(capsys, command, *self.RUN, "--local-batch", "0")

@@ -1,5 +1,6 @@
 import heapq
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -17,6 +18,8 @@ from shardsim import (
     Scenario,
     StepSchedule,
     Strategy,
+    SweepRow,
+    SweepTable,
     Task,
     TopologyError,
     Unit,
@@ -645,6 +648,31 @@ class TestSweepContract:
                       [1, 2, 4, 8, 16], frontier(1))
         for row in table.rows:
             assert row.ips <= row.ideal_ips
+
+
+class TestSweepCsv:
+    TABLE = SweepTable((
+        SweepRow("vit-base", "full", 1, 1234.56, 1234.56, 0.123456, 1.2345,
+                 True),
+        SweepRow("vit-base", "hybrid16", 1, None, None, None, None, False)))
+
+    def test_row_keeps_metrics_at_printed_precision(self):
+        row = self.TABLE.rows[0]
+        assert (row.ips, row.ideal_ips, row.comm_fraction, row.peak_gb) == \
+            (1234.6, 1234.6, 0.1235, 1.23)
+        assert SweepTable.from_csv(self.TABLE.to_csv()) == self.TABLE
+
+    @pytest.mark.parametrize("row,problem", [
+        ("vit-base,full,1", "expected 8 cells, got 3"),
+        ("vit-base,full,1,1.0,1.0,0.1000,1.00,yes,1", "expected 8 cells, got 9"),
+        ("vit-base,full,1,1.0,1.0,0.1000,1.00,maybe",
+         "feasible must be yes or no, got 'maybe'"),
+    ])
+    def test_malformed_row_names_its_line(self, row, problem):
+        text = self.TABLE.to_csv() + row + "\n"
+        with pytest.raises(ValueError, match="^sweep CSV line 4: "
+                           + re.escape(problem) + "$"):
+            SweepTable.from_csv(text)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from shardsim import (
     PrefetchPolicy,
     Strategy,
     StrategyKind,
+    Task,
     Unit,
     activation_bytes,
     build_units,
@@ -359,8 +361,11 @@ class TestStepSchedule:
         sched = self.schedule(Strategy.hybrid(4))
         payload = json.loads(sched.to_json())
         assert payload["strategy"] == "hybrid4"
+        assert payload["prefetch"] == asdict(sched.policy)
         assert len(payload["tasks"]) == len(sched.tasks)
         for raw, task in zip(payload["tasks"], sched.tasks):
+            assert list(raw) == [f.name for f in fields(Task)]
+            assert raw["group"] == list(task.group)
             assert raw["id"] == task.id
             assert raw["kind"] == task.kind
             assert raw["bytes"] == task.bytes
@@ -383,6 +388,15 @@ class TestStepSchedule:
         # backward starts from the last decoder block
         backward = [t for t in sched.tasks if t.phase == "backward" and t.kind == "compute"]
         assert backward[0].unit == "decoder_block7"
+
+    def test_batch_is_required_and_at_least_one(self):
+        plan = make_plan(tiny_units(2), Strategy.full_shard(), frontier(1))
+        with pytest.raises(TypeError):
+            step_schedule(plan, PrefetchPolicy())
+        for batch in (0, -1):
+            with pytest.raises(ConfigError,
+                               match=rf"^local_batch must be >= 1, got {batch}$"):
+                step_schedule(plan, PrefetchPolicy(), local_batch=batch)
 
 
 @st.composite
@@ -415,7 +429,8 @@ class TestShardingRule:
         ("none", "backward-post", "backward-pre")))
     def test_schedule_and_memory_follow_the_shard_group(self, plans, mode):
         for plan in plans.values():
-            sched = step_schedule(plan, PrefetchPolicy(mode=mode))
+            sched = step_schedule(plan, PrefetchPolicy(mode=mode),
+                                  local_batch=1)
             mem = memory_footprint(plan, self.ACTS)
             g = plan.shard_group_size
             sharded = g > 1
