@@ -242,10 +242,10 @@ def _tuning(args, config, cluster: ClusterSpec) -> tuple[ClusterSpec, dict]:
 
 
 def _emit(text: str, output: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     base = os.environ.get(ENV_OUTPUT_DIR)
     if base and not os.path.isabs(output):

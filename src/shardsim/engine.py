@@ -11,12 +11,12 @@ anywhere, so identical inputs produce identical traces.
 `simulate_step` is the one simulate entry point: it returns the event trace
 and the step metrics of one simulation together.
 
-A schedule compiles into one step object.  One walk gives flops, each
-task's predecessors and stream, and each collective's index into the distinct
-(kind, bytes, stream) terms, one stream per distinct group; each term is
-priced once with the ring formula.  `simulate_step` and `calibrate` compile a
-schedule on its own groups; `sweep` compiles one schedule per shape and binds
-it to the groups of every node count that shares that shape.
+A schedule compiles into one step object: per task, two predecessors, any
+extra ones, and a term, whose cost a simulation prices once (one per distinct
+compute flops value and collective, one zero term for FREEs).  `simulate_step`
+and `calibrate` compile a schedule on its own groups; `sweep` compiles one
+schedule per shape and binds it to the groups of every node count that shares
+that shape.
 
 The input stage is modeled as a pipelined source: in steady state the step
 time is max(simulated makespan, local_batch / io_rate); it never adds.
@@ -110,49 +110,76 @@ class _Step:
     """A schedule's timing on one group per stream, reusable while only
     compute efficiency and latency scale vary between simulations.
 
-    One walk of the schedule gives each task's flops, stream and `preds`, and
-    each collective's index into the distinct (kind, bytes, stream) terms.  A
-    stream is one distinct group, in order of first appearance, and `groups`
-    lists them.  Each term is priced once with the ring formula; `bind`
-    prices the same walk on other groups.
+    Each task has a record `(pred, pred, extra preds, term)`, in task-id
+    order: its deps and the task issued before it on its stream, -1 for a
+    missing pred.  Term 0 costs zero and is only a FREE's; term i > 0 is a
+    distinct compute flops value and term -i a distinct collective (kind,
+    bytes, stream), so one cost list holds both.  Stream k > 0 is
+    `groups[k - 1]`, a distinct group in order of first appearance; `bind`
+    reprices the collective terms on other groups.  A FREE with no deps, or
+    whose one dep is its stream's last task, ends with that task, so it
+    stays out of the stream chain.  `StepSchedule` has checked every task.
     """
 
-    __slots__ = ("flops", "resources", "preds", "term_of", "term_keys",
-                 "groups", "terms", "stream_names")
+    __slots__ = ("records", "resources", "compute_terms", "flops",
+                 "term_keys", "groups", "terms", "stream_names")
 
     def __init__(self, schedule: StepSchedule, cluster: ClusterSpec) -> None:
-        tasks = schedule.tasks
-        n = len(tasks)
-        self.flops = [0.0] * n
-        self.resources = [0] * n    # 0 is compute; k > 0 is groups[k - 1]
-        self.term_of = [-1] * n     # -1: a compute or FREE task moves nothing
-        terms: dict[tuple[str, int, int], int] = {}
+        self.records: list[tuple[int, int, tuple[int, ...], int]] = []
+        self.resources: list[int] = []      # each task's stream
+        self.compute_terms: list[int] = []  # each compute task's term
+        record = self.records.append
+        resource = self.resources.append
+        compute = self.compute_terms.append
+        flops: dict[float, int] = {}
+        collectives: dict[tuple[str, int, int], int] = {}
         streams: dict[range, int] = {}
-        # A task waits for its deps and for the task issued before it on its
-        # stream; `StepSchedule` guarantees every dep has a lower id and
-        # every collective a valid kind, payload and group.
-        self.preds: list[tuple[int, ...]] = []
-        last: dict[int, int] = {}   # resource id -> its latest task so far
-        for t in tasks:
-            if t.kind == COMPUTE:
-                self.flops[t.id] = t.flops
-            elif t.kind != FREE:
-                stream = streams.setdefault(t.group, len(streams) + 1)
-                self.term_of[t.id] = terms.setdefault(
-                    (t.kind, t.bytes, stream), len(terms))
-                self.resources[t.id] = stream
-            resource = self.resources[t.id]
-            previous = last.get(resource)
-            self.preds.append(
-                t.deps if previous is None or previous in t.deps
-                else (*t.deps, previous))
-            last[resource] = t.id
-        self.term_keys = tuple(terms)
+        last = [-1]     # stream -> its chain's latest task, -1 for none
+        for t in schedule.tasks:
+            deps = t.deps
+            kind = t.kind
+            if kind == COMPUTE:
+                stream = 0
+                term = flops.setdefault(t.flops, len(flops) + 1)
+                compute(term)
+            elif kind == FREE:
+                if not deps or deps == (last[0],):
+                    resource(0)
+                    record((last[0], -1, (), 0))
+                    continue
+                stream = term = 0
+            else:
+                stream = streams.get(t.group)
+                if stream is None:
+                    stream = streams[t.group] = len(last)
+                    last.append(-1)
+                term = collectives.setdefault((kind, t.bytes, stream),
+                                              -1 - len(collectives))
+            previous = last[stream]
+            last[stream] = t.id
+            resource(stream)
+            # Unrolled: on a small schedule this walk costs as much as a run.
+            k = len(deps)
+            if previous < 0 or previous in deps:
+                if k == 2:
+                    record((deps[0], deps[1], (), term))
+                elif k > 2:
+                    record((deps[0], deps[1], deps[2:], term))
+                else:
+                    record((deps[0] if k else -1, -1, (), term))
+            elif k == 1:
+                record((deps[0], previous, (), term))
+            elif k:
+                record((deps[0], deps[1], (*deps[2:], previous), term))
+            else:
+                record((previous, -1, (), term))
+        self.flops = [0.0, *flops]      # by term, from 0
+        self.term_keys = tuple(collectives)[::-1]   # by term, from -len
         self._price(tuple(streams), cluster)
 
     def bind(self, groups, cluster: ClusterSpec) -> "_Step":
         """This step with stream k on `groups[k - 1]`; it shares this step's
-        lists and prices only the terms."""
+        lists and reprices only the collective terms."""
         step = copy.copy(self)
         step._price(groups, cluster)
         return step
@@ -167,7 +194,7 @@ class _Step:
             self.stream_names.append(
                 f"comm:{link}:{group.start}+{stride}x{len(group)}")
             channels.append(group_channel(group, cluster))
-        # Each term's (bandwidth seconds, latency seconds at scale 1).
+        # Collective term -i's (wire, latency at scale 1) is the i-th last.
         self.terms = [ring_terms(kind, nbytes, len(groups[stream - 1]),
                                  channels[stream - 1])
                       for kind, nbytes, stream in self.term_keys]
@@ -179,37 +206,34 @@ class _Step:
 
     def durations(self, effective_flops: float,
                   latency_scale: float) -> list[float]:
-        costs = [wire + latency * latency_scale
-                 for wire, latency in self.terms]
-        costs.append(0.0)   # term -1: compute and FREE tasks
-        return [f / effective_flops if f else costs[i]
-                for f, i in zip(self.flops, self.term_of)]
+        """Each term's cost; term -i is the i-th from the end."""
+        costs = [f / effective_flops for f in self.flops]
+        costs += [wire + latency * latency_scale for wire, latency in self.terms]
+        return costs
 
-    def compute_seconds(self, durations: list[float]) -> float:
-        """Sum of the compute stream's durations in task-id order.
-
-        The compute stream is one dependency chain and its FREE tasks take no
-        time, so this is also the makespan with every collective at zero.
-        """
-        return sum(d for d, r in zip(durations, self.resources) if not r)
-
-    def run(self, durations: list[float]) -> tuple[list[float], list[float]]:
+    def run(self, costs: list[float]) -> tuple[list[float], list[float]]:
         """Start and end time of every task, each stream running its tasks in
-        issue (task-id) order.
+        issue (task-id) order, given each term's cost.
 
-        One pass in task-id order: a task starts when the last of its deps and
-        of the task issued before it on its stream has ended.
+        One pass in task-id order: a task starts when the last of its preds
+        has ended.
         """
-        start: list[float] = []
-        end: list[float] = []
-        for preds, duration in zip(self.preds, durations):
-            ready = 0.0
-            for p in preds:
-                e = end[p]
-                if e > ready:
-                    ready = e
-            start.append(ready)
-            end.append(ready + duration)
+        n = len(self.records)
+        start = [0.0] * n
+        end = [0.0] * (n + 1)   # end[-1] stays 0.0: a missing pred
+        for tid, (a, b, more, term) in enumerate(self.records):
+            ready = end[a]
+            e = end[b]
+            if e > ready:
+                ready = e
+            if more:
+                for p in more:
+                    e = end[p]
+                    if e > ready:
+                        ready = e
+            start[tid] = ready
+            end[tid] = ready + costs[term]
+        end.pop()
         return start, end
 
 
@@ -223,10 +247,10 @@ def _simulate(step: _Step, cluster: ClusterSpec, world: int,
     compute stream is a single dependency chain, so that sum is exactly the
     makespan of the step with every collective at zero duration.
     """
-    durations = step.durations(cluster.effective_flops_per_gpu, latency_scale)
-    start, end = step.run(durations)
+    costs = step.durations(cluster.effective_flops_per_gpu, latency_scale)
+    start, end = step.run(costs)
     synthetic = max(end, default=0.0)
-    compute_seconds = step.compute_seconds(durations)
+    compute_seconds = sum([costs[term] for term in step.compute_terms])
     exposed = max(0.0, synthetic - compute_seconds)
     fraction = exposed / synthetic if synthetic > 0 else 0.0
 
@@ -563,8 +587,7 @@ def calibrate(observations, cluster: ClusterSpec,
         for step, peak, global_batch, measured in prepared:
             if total >= bound:
                 break
-            durations = step.durations(peak * efficiency, scale)
-            _, end = step.run(durations)
+            _, end = step.run(step.durations(peak * efficiency, scale))
             ips = global_batch / max(end)
             fast = fast and ips >= measured
             slow = slow and ips <= measured

@@ -313,9 +313,6 @@ class StepSchedule:
                 except ValueError as exc:
                     raise ValueError(f"task {task.id}: {exc}") from None
 
-    def by_kind(self, kind: str) -> list[Task]:
-        return [t for t in self.tasks if t.kind == kind]
-
     def collectives(self) -> list[Task]:
         return [t for t in self.tasks
                 if t.kind in (ALL_GATHER, REDUCE_SCATTER, ALL_REDUCE)]

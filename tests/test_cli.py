@@ -702,6 +702,40 @@ class TestFlagValues:
         assert out == invoke(capsys, *run_args)[1]
 
 
+OBSERVATIONS_5B = [
+    {"model": "mae-5b", "strategy": "hybrid2", "nodes": 32,
+     "measured_ips": 1509.0},
+    {"model": "mae-5b", "strategy": "full", "nodes": 32,
+     "measured_ips": 1307.0},
+]
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--model", "vit-base", "--strategies", "full",
+         "--nodes", "1,2", "--format", "csv"),
+        ("sweep", "--model", "vit-base", "--strategies", "full",
+         "--nodes", "1,2", "--format", "json"),
+        ("sweep", "--model", "vit-base", "--strategies", "full",
+         "--nodes", "1", "--format", "pretty-table"),
+        ("schedule", "--model", "vit-base", "--strategy", "full"),
+        ("calibrate",),
+        ("memory", "--model", "vit-base", "--strategy", "full"),
+    ], ids=["csv", "json", "pretty-table", "schedule", "calibrate", "kv"])
+    def test_file_gets_the_bytes_stdout_gets(self, capsys, tmp_path, argv):
+        if argv == ("calibrate",):
+            observations = tmp_path / "obs.json"
+            observations.write_text(json.dumps(OBSERVATIONS_5B))
+            argv += ("--observations", str(observations))
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, err
+        path = tmp_path / "report"
+        code, quiet, err = invoke(capsys, *argv, "--output", str(path))
+        assert code == 0 and quiet == "", err
+        assert path.read_bytes() == out.encode("utf-8")
+        assert out.endswith("\n") and not out.endswith("\n\n")
+
+
 class TestOutputDirEnv:
     def test_relative_output_resolves_against_env(self, capsys, tmp_path,
                                                   monkeypatch):

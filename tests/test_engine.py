@@ -299,15 +299,34 @@ def reference_run(resources, deps, durations):
 STREAM_GROUPS = (None, range(0, 2), range(2, 4), range(4, 6))
 
 
-def dag_schedule(resources, deps):
+def dag_schedule(resources, deps, frees=()):
     """A hand-built schedule: a compute task where the resource is 0, else an
-    all-gather on that resource's group in `STREAM_GROUPS`."""
+    all-gather on that resource's group in `STREAM_GROUPS`, and a FREE at
+    each id in `frees`.  Each task has its own flops or bytes, so its own
+    term."""
     return manual_schedule(
-        Task(tid, "compute", f"u{tid}", "forward", flops=1e9, deps=tuple(d))
+        Task(tid, "free", f"u{tid}", "forward", deps=tuple(d))
+        if tid in frees else
+        Task(tid, "compute", f"u{tid}", "forward", flops=1e9 * (tid + 1),
+             deps=tuple(d))
         if r == 0 else
-        Task(tid, "all-gather", f"u{tid}", "forward", bytes=1,
+        Task(tid, "all-gather", f"u{tid}", "forward", bytes=tid + 1,
              group=STREAM_GROUPS[r], deps=tuple(d))
         for tid, (r, d) in enumerate(zip(resources, deps)))
+
+
+def task_costs(step, durations):
+    """Per-term costs that give each task of a step whose tasks each have
+    their own term its duration in `durations`."""
+    costs = [0.0] * len(step.durations(1.0, 1.0))
+    for (_, _, _, term), duration in zip(step.records, durations):
+        costs[term] = duration
+    return costs
+
+
+def task_durations(step, costs):
+    """Each task's duration under per-term `costs`."""
+    return [costs[term] for _, _, _, term in step.records]
 
 
 def assert_valid_timeline(schedule, resources, start, end):
@@ -352,8 +371,61 @@ class TestEventLoop:
     def test_matches_reference_scheduler(self, dag):
         resources, deps, durations = dag
         step = _Step(dag_schedule(resources, deps), LAB)
-        assert step.run(durations) == \
+        assert step.run(task_costs(step, durations)) == \
             reference_run(resources, deps, durations)
+
+
+@st.composite
+def free_dags(draw):
+    """Tasks on up to four streams with FREE tasks on the compute stream:
+    FREEs whose one dep is their stream's latest task, with no deps, with
+    several deps, first on the stream, and depended on by later tasks.
+    Returns the resources, each task's deps as built, the FREE ids, each
+    task's deps plus the task before it on its stream (what issue order
+    means), and durations with every FREE at 0.0."""
+    n = draw(st.integers(1, 40))
+    n_resources = draw(st.integers(1, len(STREAM_GROUPS)))
+    resources, deps, chained, frees = [], [], [], set()
+    last = {}
+    for tid in range(n):
+        resource = draw(st.integers(0, n_resources - 1))
+        previous = last.get(resource)
+        if resource == 0 and draw(st.booleans()):
+            frees.add(tid)
+            form = draw(st.sampled_from(("follows", "none", "several")))
+            if form == "follows":
+                task_deps = {previous} if previous is not None else set()
+            elif form == "none":
+                task_deps = set()
+            else:
+                task_deps = draw(st.sets(st.integers(0, tid - 1), min_size=2,
+                                         max_size=3)) if tid > 1 else set()
+        else:
+            # Any earlier task, FREEs included, may be a dep.
+            task_deps = draw(st.sets(st.integers(0, tid - 1), max_size=3)) \
+                if tid else set()
+        resources.append(resource)
+        deps.append(sorted(task_deps))
+        chained.append(sorted(task_deps | ({previous} - {None})))
+        last[resource] = tid
+    durations = [0.0 if tid in frees else
+                 draw(st.one_of(st.sampled_from((0.0, 1.0, 0.5, 2.5)),
+                                st.floats(0.0, 10.0)))
+                 for tid in range(n)]
+    return resources, deps, frees, chained, durations
+
+
+class TestFreeRule:
+    @settings(max_examples=400, deadline=None)
+    @given(free_dags())
+    def test_free_tasks_keep_issue_order(self, dag):
+        """A FREE that only follows its stream's latest task stays out of the
+        chain; every other FREE is in it.  Either way each stream runs its
+        tasks in issue order."""
+        resources, deps, frees, chained, durations = dag
+        step = _Step(dag_schedule(resources, deps, frees), LAB)
+        assert step.run(task_costs(step, durations)) == \
+            reference_run(resources, chained, durations)
 
 
 @st.composite
@@ -390,34 +462,35 @@ def step_schedules(draw):
 
 @st.composite
 def step_cases(draw):
-    """A `step_schedules` output compiled on its cluster, with durations that
-    are grid-like with zeros, random, or the model's own at a random compute
-    efficiency and latency scale."""
+    """A `step_schedules` output compiled on its cluster, with per-term costs
+    that are grid-like with zeros, random, or the model's own at a random
+    compute efficiency and latency scale; the zero term costs 0.0."""
     schedule, spec = draw(step_schedules())
     step = _Step(schedule, spec)
-    n = len(schedule.tasks)
+    n = len(step.durations(1.0, 1.0))
     kind = draw(st.sampled_from(("grid", "random", "model")))
     if kind == "grid":
-        durations = draw(st.lists(st.sampled_from((0.0, 0.0, 0.5, 1.0, 2.0)),
-                                  min_size=n, max_size=n))
+        costs = draw(st.lists(st.sampled_from((0.0, 0.0, 0.5, 1.0, 2.0)),
+                              min_size=n, max_size=n))
     elif kind == "random":
-        durations = draw(st.lists(st.floats(0.0, 10.0), min_size=n,
-                                  max_size=n))
+        costs = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
     else:
-        durations = step.durations(
+        costs = step.durations(
             spec.peak_flops_per_gpu * draw(st.floats(0.05, 1.0)),
             draw(st.floats(0.1, 50.0)))
-    return schedule, step, durations
+    costs[0] = 0.0
+    return schedule, step, costs
 
 
 class TestIssueOrder:
     @settings(max_examples=300, deadline=None)
     @given(step_cases())
     def test_step_schedules_match_list_scheduler(self, case):
-        schedule, step, durations = case
-        start, end = step.run(durations)
+        schedule, step, costs = case
+        start, end = step.run(costs)
         assert (start, end) == reference_run(
-            step.resources, [t.deps for t in schedule.tasks], durations)
+            step.resources, [t.deps for t in schedule.tasks],
+            task_durations(step, costs))
         assert_valid_timeline(schedule, step.resources, start, end)
 
     @settings(max_examples=100, deadline=None)
@@ -426,7 +499,8 @@ class TestIssueOrder:
         resources, deps, durations = dag
         schedule = dag_schedule(resources, deps)
         step = _Step(schedule, LAB)
-        assert_valid_timeline(schedule, resources, *step.run(durations))
+        assert_valid_timeline(schedule, resources,
+                              *step.run(task_costs(step, durations)))
 
 
 def sweep_groups(plan):
@@ -468,7 +542,7 @@ class TestStreams:
         fresh = _Step(step_schedule(other, policy, local_batch=1),
                       other.cluster)
         assert bound.names == fresh.names
-        assert bound.preds == fresh.preds
+        assert bound.records == fresh.records
         peak = other.cluster.peak_flops_per_gpu
         for efficiency, scale in tunings:
             flops = peak * efficiency
@@ -498,9 +572,8 @@ class TestMonotoneTiming:
         step = _Step(schedule, spec)
 
         def makespan(efficiency, scale):
-            durations = step.durations(
-                spec.peak_flops_per_gpu * efficiency, scale)
-            return max(step.run(durations)[1])
+            costs = step.durations(spec.peak_flops_per_gpu * efficiency, scale)
+            return max(step.run(costs)[1])
 
         (e_low, e_high), (s_low, s_high) = efficiencies, scales
         for s in scales:
@@ -891,9 +964,9 @@ def count_simulations(monkeypatch):
     calls = [0]
     run = _Step.run
 
-    def counted(self, durations):
+    def counted(self, costs):
         calls[0] += 1
-        return run(self, durations)
+        return run(self, costs)
 
     monkeypatch.setattr(_Step, "run", counted)
     return calls

@@ -33,6 +33,11 @@ def tiny_units(n=3, params=1000, flop=1e9):
     return tuple(Unit(f"u{i}", params, flop, 2 * flop) for i in range(n))
 
 
+def of_kind(schedule, kind):
+    """The schedule's tasks of one kind, in id order."""
+    return [t for t in schedule.tasks if t.kind == kind]
+
+
 def reachable(schedule, src, dst):
     """True if dst transitively depends on src."""
     frontier_ids = {dst}
@@ -225,24 +230,24 @@ class TestStepSchedule:
 
     def test_no_shard_has_only_all_reduce(self):
         sched = self.schedule(Strategy.no_shard())
-        assert sched.by_kind("all-gather") == []
-        assert sched.by_kind("reduce-scatter") == []
-        ars = sched.by_kind("all-reduce")
+        assert of_kind(sched, "all-gather") == []
+        assert of_kind(sched, "reduce-scatter") == []
+        ars = of_kind(sched, "all-reduce")
         assert sum(t.bytes for t in ars) == 3 * 10_000 * 4
 
     def test_full_shard_task_pattern(self):
         sched = self.schedule(Strategy.full_shard())
         # one forward and one backward gather per unit, one reduce-scatter
-        assert len(sched.by_kind("all-gather")) == 6
-        assert len(sched.by_kind("reduce-scatter")) == 3
-        assert sched.by_kind("all-reduce") == []
+        assert len(of_kind(sched, "all-gather")) == 6
+        assert len(of_kind(sched, "reduce-scatter")) == 3
+        assert of_kind(sched, "all-reduce") == []
 
     def test_grad_op_has_no_backward_gathers(self):
         sched = self.schedule(Strategy.grad_op_shard())
-        gathers = sched.by_kind("all-gather")
+        gathers = of_kind(sched, "all-gather")
         assert len(gathers) == 3
         assert all(t.phase == "forward" for t in gathers)
-        assert len(sched.by_kind("reduce-scatter")) == 3
+        assert len(of_kind(sched, "reduce-scatter")) == 3
 
     def test_backward_compute_depends_on_its_gather(self):
         sched = self.schedule(Strategy.full_shard())
@@ -287,8 +292,8 @@ class TestStepSchedule:
 
     def test_hybrid_reduce_scatter_intra_all_reduce_inter(self):
         sched = self.schedule(Strategy.hybrid(8), world_nodes=2)
-        rs = sched.by_kind("reduce-scatter")
-        ar = sched.by_kind("all-reduce")
+        rs = of_kind(sched, "reduce-scatter")
+        ar = of_kind(sched, "all-reduce")
         assert len(rs) == 3 and len(ar) == 3
         for task in rs:
             assert len(task.group) == 8
@@ -303,7 +308,7 @@ class TestStepSchedule:
         units = tiny_units(2, params=10_000)
         plan = make_plan(units, Strategy.hybrid(8), frontier(2))
         sched = step_schedule(plan, PrefetchPolicy(), local_batch=4)
-        for task in sched.by_kind("all-reduce"):
+        for task in of_kind(sched, "all-reduce"):
             assert task.bytes == math.ceil(10_000 / 8) * 4
 
     def test_gathered_bytes_bounded(self):
@@ -312,7 +317,7 @@ class TestStepSchedule:
                          Strategy.replicated()):
             sched = self.schedule(strategy)
             per_unit = {}
-            for task in sched.by_kind("all-gather"):
+            for task in of_kind(sched, "all-gather"):
                 per_unit[task.unit] = per_unit.get(task.unit, 0) + task.bytes
             for unit_name, total in per_unit.items():
                 assert total <= 2 * 10_000 * 4
@@ -340,7 +345,7 @@ class TestStepSchedule:
         units = tiny_units(3, params=10_000)
         plan = make_plan(units, Strategy.replicated(bucket_bytes=bucket), frontier(2))
         sched = step_schedule(plan, PrefetchPolicy(), local_batch=4)
-        ars = sched.by_kind("all-reduce")
+        ars = of_kind(sched, "all-reduce")
         assert sum(t.bytes for t in ars) == 3 * 40_000
         assert all(t.bytes == bucket for t in ars[:-1])
         assert all(len(t.group) == 16 for t in ars)
@@ -434,14 +439,14 @@ class TestShardingRule:
             mem = memory_footprint(plan, self.ACTS)
             g = plan.shard_group_size
             sharded = g > 1
-            assert bool(sched.by_kind("all-gather")) == sharded
-            assert bool(sched.by_kind("reduce-scatter")) == sharded
+            assert bool(of_kind(sched, "all-gather")) == sharded
+            assert bool(of_kind(sched, "reduce-scatter")) == sharded
             # Every sharded plan frees gathered parameters after backward;
             # only a re-sharding plan frees them after forward as well.
-            frees = sched.by_kind("free")
+            frees = of_kind(sched, "free")
             assert any(t.phase == "backward" for t in frees) == sharded
             forward_frees = [t for t in frees if t.phase == "forward"]
-            backward_gathers = [t for t in sched.by_kind("all-gather")
+            backward_gathers = [t for t in of_kind(sched, "all-gather")
                                 if t.phase == "backward"]
             assert bool(forward_frees) == plan.reshards_params
             assert bool(backward_gathers) == plan.reshards_params
