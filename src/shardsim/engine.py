@@ -8,8 +8,9 @@ order they were issued (task-id order): a task starts once its dependencies
 and the task issued before it on its stream are done.  There is no randomness
 anywhere, so identical inputs produce identical traces.
 
-`simulate_step` is the one simulate entry point: it returns the event trace
-and the step metrics of one simulation together.
+`simulate_step` is the one simulate entry point: it returns the step metrics
+and the event trace, the timed step itself (its schedule, compiled step, and
+each task's start and end), which names streams and builds `Event`s on read.
 
 A schedule compiles into one step object: per task, two predecessors, any
 extra ones, and a term, whose cost a simulation prices once (one per distinct
@@ -63,26 +64,35 @@ class Event:
 
 @dataclass(frozen=True)
 class EventTrace:
-    """Start and end time of every task, by task id, with the name of the
-    resource it ran on; `Event`s are built only when read."""
+    """A timed step: the schedule, the step it compiled to, and the start and
+    end time of every task by task id.  Stream names and `Event`s are built
+    only when read."""
 
+    schedule: StepSchedule
+    step: _Step = field(compare=False, repr=False)
     start: list[float]
     end: list[float]
-    resources: list[str]
 
     @property
     def makespan(self) -> float:
         return max(self.end, default=0.0)
 
     @property
+    def resources(self) -> list[str]:
+        """The name of each task's stream: "compute", or
+        "comm:{intra|inter}:{first rank}+{stride}x{size}" of its group."""
+        step = self.step
+        names = ["compute"]
+        for group in step.groups:
+            link = "inter" if group_nodes(group, step.cluster) > 1 else "intra"
+            stride = group.step if len(group) > 1 else 0
+            names.append(f"comm:{link}:{group.start}+{stride}x{len(group)}")
+        return [names[r] for r in step.resources]
+
+    @property
     def events(self) -> tuple[Event, ...]:
         return tuple(map(Event, range(len(self.end)), self.start, self.end,
                          self.resources))
-
-    def to_json_rows(self) -> list[dict]:
-        return [{"task": tid, "start": start, "end": end, "resource": resource}
-                for tid, (start, end, resource)
-                in enumerate(zip(self.start, self.end, self.resources))]
 
 
 @dataclass(frozen=True)
@@ -115,14 +125,15 @@ class _Step:
     missing pred.  Term 0 costs zero and is only a FREE's; term i > 0 is a
     distinct compute flops value and term -i a distinct collective (kind,
     bytes, stream), so one cost list holds both.  Stream k > 0 is
-    `groups[k - 1]`, a distinct group in order of first appearance; `bind`
-    reprices the collective terms on other groups.  A FREE with no deps, or
-    whose one dep is its stream's last task, ends with that task, so it
-    stays out of the stream chain.  `StepSchedule` has checked every task.
+    `groups[k - 1]`, a distinct group in order of first appearance, priced
+    on `cluster`; `bind` reprices the collective terms on other groups.  A
+    FREE with no deps, or whose one dep is its stream's last task, ends with
+    that task, so it stays out of the stream chain.  `StepSchedule` has
+    checked every task.  The step keeps no names: `EventTrace` builds them.
     """
 
     __slots__ = ("records", "resources", "compute_terms", "flops",
-                 "term_keys", "groups", "terms", "stream_names")
+                 "term_keys", "groups", "cluster", "terms")
 
     def __init__(self, schedule: StepSchedule, cluster: ClusterSpec) -> None:
         self.records: list[tuple[int, int, tuple[int, ...], int]] = []
@@ -186,23 +197,11 @@ class _Step:
 
     def _price(self, groups, cluster: ClusterSpec) -> None:
         self.groups = tuple(groups)
-        self.stream_names = ["compute"]
-        channels = []
-        for group in groups:
-            link = "inter" if group_nodes(group, cluster) > 1 else "intra"
-            stride = group.step if len(group) > 1 else 0
-            self.stream_names.append(
-                f"comm:{link}:{group.start}+{stride}x{len(group)}")
-            channels.append(group_channel(group, cluster))
+        self.cluster = cluster
+        rings = [(len(g), group_channel(g, cluster)) for g in self.groups]
         # Collective term -i's (wire, latency at scale 1) is the i-th last.
-        self.terms = [ring_terms(kind, nbytes, len(groups[stream - 1]),
-                                 channels[stream - 1])
+        self.terms = [ring_terms(kind, nbytes, *rings[stream - 1])
                       for kind, nbytes, stream in self.term_keys]
-
-    @property
-    def names(self) -> list[str]:
-        """The name of each task's stream."""
-        return [self.stream_names[r] for r in self.resources]
 
     def durations(self, effective_flops: float,
                   latency_scale: float) -> list[float]:
@@ -237,9 +236,8 @@ class _Step:
         return start, end
 
 
-def _simulate(step: _Step, cluster: ClusterSpec, world: int,
-              local_batch: int, io: IoModel | None, latency_scale: float,
-              memory: MemoryBreakdown | None
+def _simulate(step: _Step, world: int, local_batch: int, io: IoModel | None,
+              latency_scale: float, memory: MemoryBreakdown | None
               ) -> tuple[list[float], list[float], StepMetrics]:
     """Time a compiled step; return each task's start and end and the metrics.
 
@@ -247,7 +245,7 @@ def _simulate(step: _Step, cluster: ClusterSpec, world: int,
     compute stream is a single dependency chain, so that sum is exactly the
     makespan of the step with every collective at zero duration.
     """
-    costs = step.durations(cluster.effective_flops_per_gpu, latency_scale)
+    costs = step.durations(step.cluster.effective_flops_per_gpu, latency_scale)
     start, end = step.run(costs)
     synthetic = max(end, default=0.0)
     compute_seconds = sum([costs[term] for term in step.compute_terms])
@@ -279,10 +277,9 @@ def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
     """Simulate one step; return its event trace and throughput metrics."""
     _check_latency_scale(latency_scale)
     step = _Step(schedule, cluster)
-    start, end, metrics = _simulate(step, cluster, schedule.world,
-                                    schedule.local_batch, io, latency_scale,
-                                    memory)
-    return EventTrace(start, end, step.names), metrics
+    start, end, metrics = _simulate(step, schedule.world, schedule.local_batch,
+                                    io, latency_scale, memory)
+    return EventTrace(schedule, step, start, end), metrics
 
 
 @dataclass(frozen=True)
@@ -296,18 +293,13 @@ class Scenario:
     policy: PrefetchPolicy = PrefetchPolicy()
 
 
-def _resolve_model(model) -> ViTConfig | MAEConfig:
-    if isinstance(model, (ViTConfig, MAEConfig)):
-        return model
-    return get_model(model)
-
-
 def _workload(model, local_batch: int, activation_model: str = CHECKPOINTED
               ) -> tuple[tuple[Unit, ...], ActivationEstimate]:
     """A model's units and activation estimate at a local batch.  The warning
     that a 512-pixel image truncates to a 36x36 grid of 14-pixel patches is
     silenced: the large presets truncate by design."""
-    model = _resolve_model(model)
+    if not isinstance(model, (ViTConfig, MAEConfig)):
+        model = get_model(model)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return (build_units(model, local_batch),
@@ -464,8 +456,8 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
                     step = steps[key] = _Step(step_schedule(
                         plan, policy, local_batch=local_batch), spec)
                 _, _, metrics = _simulate(
-                    step, spec, spec.world_size, local_batch, io,
-                    latency_scale, memory_footprint(plan, acts))
+                    step, spec.world_size, local_batch, io, latency_scale,
+                    memory_footprint(plan, acts))
                 measured.append((nodes, metrics))
             base = min(((n, m) for n, m in measured if m is not None),
                        key=lambda row: row[0], default=None)
@@ -541,7 +533,8 @@ def calibrate(observations, cluster: ClusterSpec,
       repeated values are fine.
 
     Each measured ips must be finite and > 0, each efficiency in (0, 1] and
-    each latency scale finite and > 0; a bad value raises `ConfigError`.
+    each latency scale finite and > 0; a bad value raises `ConfigError`, as
+    do observations that no candidate fits with a finite loss.
     """
     observations = list(observations)
     if len(observations) < 2:
@@ -591,7 +584,10 @@ def calibrate(observations, cluster: ClusterSpec,
             ips = global_batch / max(end)
             fast = fast and ips >= measured
             slow = slow and ips <= measured
-            total += ((ips - measured) / measured) ** 2
+            try:
+                total += ((ips - measured) / measured) ** 2
+            except OverflowError:   # a relative error above ~1.3e154
+                total = math.inf
         return total, 1 if fast else -1 if slow else 0
 
     # Evaluated candidates (e, s) whose simulated ips were each too fast, or
@@ -627,6 +623,9 @@ def calibrate(observations, cluster: ClusterSpec,
                     (too_fast if side > 0 else too_slow).append((e, s))
 
     residual, efficiency, scale = best
+    if residual == math.inf:
+        raise ConfigError("observations: no candidate fits them with a finite "
+                          "loss; a measured ips is out of the model's range")
     return CalibratedParams(compute_efficiency=efficiency,
                             effective_latency_scale=scale,
                             residual=residual)

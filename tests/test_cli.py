@@ -563,6 +563,18 @@ class TestFlagValues:
         assert out == ""
         assert err.startswith("error: observations[1]: measured ips")
 
+    def test_measured_ips_beyond_the_model_names_observations(
+            self, capsys, tmp_path):
+        entry = {"model": "vit-base", "strategy": "full", "nodes": 1,
+                 "measured_ips": 1000.0}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([entry, {**entry, "nodes": 2,
+                                            "measured_ips": 1e-300}]))
+        code, out, err = invoke(capsys, "calibrate", "--observations", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: observations: ")
+
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_non_boolean_limit_all_gathers_names_field(self, capsys, tmp_path,
                                                        value):

@@ -13,6 +13,7 @@ from shardsim import (
     ClusterSpec,
     CollectiveCall,
     ConfigError,
+    EventTrace,
     IoModel,
     PrefetchPolicy,
     Scenario,
@@ -35,7 +36,9 @@ from shardsim import (
     step_schedule,
     sweep,
 )
+from shardsim.collectives import group_nodes
 from shardsim.engine import CalibratedParams, _geomspace, _linspace, _Step
+from shardsim.sharding import COMPUTE, FREE
 
 warnings.simplefilter("ignore", UserWarning)
 
@@ -196,9 +199,9 @@ class TestTraceValidity:
 
     def test_trace_json_rows(self):
         trace, sched = self.trace_and_schedule()
-        rows = trace.to_json_rows()
-        assert len(rows) == len(sched.tasks)
-        assert {"task", "start", "end", "resource"} <= set(rows[0])
+        events = trace.events
+        assert [e.task_id for e in events] == [t.id for t in sched.tasks]
+        assert all(isinstance(e.resource, str) and e.resource for e in events)
 
 
 class TestInfeasibleStillRuns:
@@ -516,6 +519,37 @@ def singletons(plan):
             len(plan.groups.replica_group_of(0)) == 1]
 
 
+def stream_names(schedule, cluster):
+    """The name of each task's stream: compute and FREE tasks run on
+    "compute", a collective on the stream of its group."""
+    names = []
+    for task in schedule.tasks:
+        group = task.group
+        if task.kind in (COMPUTE, FREE):
+            names.append("compute")
+            continue
+        link = "inter" if group_nodes(group, cluster) > 1 else "intra"
+        stride = group.step if len(group) > 1 else 0
+        names.append(f"comm:{link}:{group.start}+{stride}x{len(group)}")
+    return names
+
+
+def trace_of(schedule, step):
+    """The trace of `step`, compiled from `schedule`, at unit costs."""
+    return EventTrace(schedule, step, *step.run(step.durations(1.0, 1.0)))
+
+
+def other_plan(plan, nodes):
+    """`plan`'s units and strategy on `nodes` nodes, with the same stream
+    shape, or an unsatisfied assumption."""
+    try:
+        other = make_plan(plan.units, plan.strategy, frontier(nodes))
+    except TopologyError:
+        assume(False)
+    assume(singletons(plan) == singletons(other))
+    return other
+
+
 class TestStreams:
     """What `sweep`'s rebinding rests on."""
 
@@ -532,22 +566,39 @@ class TestStreams:
                     min_size=3, max_size=3))
     def test_bind_matches_fresh_step(self, case, nodes, tunings):
         plan, policy = case
-        try:
-            other = make_plan(plan.units, plan.strategy, frontier(nodes))
-        except TopologyError:
-            assume(False)
-        assume(singletons(plan) == singletons(other))
-        bound = _Step(step_schedule(plan, policy, local_batch=1),
-                      plan.cluster).bind(sweep_groups(other), other.cluster)
-        fresh = _Step(step_schedule(other, policy, local_batch=1),
-                      other.cluster)
-        assert bound.names == fresh.names
+        other = other_plan(plan, nodes)
+        schedule = step_schedule(plan, policy, local_batch=1)
+        bound = _Step(schedule, plan.cluster).bind(sweep_groups(other),
+                                                   other.cluster)
+        fresh_schedule = step_schedule(other, policy, local_batch=1)
+        fresh = _Step(fresh_schedule, other.cluster)
+        assert bound.groups == fresh.groups
+        assert trace_of(schedule, bound).resources == \
+            trace_of(fresh_schedule, fresh).resources
         assert bound.records == fresh.records
         peak = other.cluster.peak_flops_per_gpu
         for efficiency, scale in tunings:
             flops = peak * efficiency
             assert [d.hex() for d in bound.durations(flops, scale)] == \
                 [d.hex() for d in fresh.durations(flops, scale)]
+
+
+class TestTraceView:
+    """An `EventTrace` carries its schedule and step and names each task's
+    stream on read."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(plans(), st.sampled_from((1, 2, 4, 8)))
+    def test_resources_name_each_task_stream(self, case, nodes):
+        plan, policy = case
+        schedule = step_schedule(plan, policy, local_batch=1)
+        trace, _ = simulate_step(schedule, plan.cluster)
+        assert trace.schedule is schedule
+        assert trace.resources == stream_names(schedule, plan.cluster)
+        other = other_plan(plan, nodes)
+        bound = trace.step.bind(sweep_groups(other), other.cluster)
+        assert trace_of(schedule, bound).resources == stream_names(
+            step_schedule(other, policy, local_batch=1), other.cluster)
 
 
 @st.composite
@@ -852,6 +903,14 @@ class TestCalibrate:
         with pytest.raises(ConfigError, match=r"observations\[1\]"):
             calibrate([first, (scenario, measured)], frontier(1),
                       refinement_rounds=0)
+
+    def test_overflowing_loss_names_observations(self):
+        # A relative error above ~1.3e154 overflows when squared: that
+        # candidate cannot win, and with no finite loss there is no fit.
+        first, (scenario, _) = self.TWO_POINTS
+        with pytest.raises(ConfigError, match="^observations: "):
+            calibrate([first, (scenario, 1e-300)], frontier(1),
+                      refinement_rounds=1)
 
     def test_unbuildable_observation_names_it(self):
         first, _ = self.TWO_POINTS

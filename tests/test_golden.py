@@ -227,7 +227,8 @@ MEMORY_SHA256 = {
 MEMORY_BREAKDOWN_SHA256 = \
     "aab6c423a1725cef25ad42ff6cc4c5888b73cfd4f395c9d6694c09726a792196"
 
-# simulate_step(...)[0].to_json_rows() of vit-base hybrid8 on 2 nodes.
+# One {"task", "start", "end", "resource"} row per event of
+# simulate_step(...)[0] of vit-base hybrid8 on 2 nodes.
 TRACE_SHA256 = \
     "c51847ee263b1cb2b38df922250d7a900abce43e9f7c04b1f76643b2a82b8bef"
 
@@ -346,7 +347,9 @@ def test_event_trace_rows():
     scenario = Scenario(model="vit-base", strategy=Strategy.parse("hybrid8"),
                         nodes=2)
     schedule, _, spec = prepare_scenario(scenario, frontier(1))
-    rows = simulate_step(schedule, spec)[0].to_json_rows()
+    rows = [{"task": e.task_id, "start": e.start, "end": e.end,
+             "resource": e.resource}
+            for e in simulate_step(schedule, spec)[0].events]
     assert sha256(json.dumps(rows)) == TRACE_SHA256
 
 
