@@ -42,6 +42,9 @@ class ClusterSpec:
             raise ConfigError("latencies must be >= 0")
         if not 0 < self.compute_efficiency <= 1:
             raise ConfigError("compute_efficiency must lie in (0, 1]")
+        if self.effective_flops_per_gpu == 0:
+            raise ConfigError("peak_flops_per_gpu times compute_efficiency "
+                              "must not underflow to 0")
 
     @property
     def world_size(self) -> int:

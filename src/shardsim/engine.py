@@ -236,19 +236,55 @@ class _Step:
         return start, end
 
 
+def _unpriceable(step: _Step, costs: list[float],
+                 latency_scale: float) -> ConfigError:
+    """The error for a step whose makespan is not finite: it names the
+    cluster field behind the step's largest term, a compute term's peak
+    flops or a collective's bottleneck bandwidth or link latency."""
+    cluster = step.cluster
+    worst = max(range(len(costs)), key=costs.__getitem__)
+    if worst < len(step.flops):
+        name = "peak_flops_per_gpu"
+        detail = f" at compute efficiency {cluster.compute_efficiency!r}"
+    else:
+        wire, latency = step.terms[worst - len(costs)]
+        _, _, stream = step.term_keys[worst - len(costs)]
+        group = step.groups[stream - 1]
+        if wire >= latency * latency_scale:
+            bandwidth, _ = group_channel(group, cluster)
+            name = "intra_node_bw" if bandwidth == cluster.intra_node_bw \
+                else "inter_node_bw"
+            detail = ""
+        else:
+            name = "inter_node_latency" if group_nodes(group, cluster) > 1 \
+                else "intra_node_latency"
+            detail = f" at latency scale {latency_scale!r}"
+    return ConfigError(
+        f"{name}: {getattr(cluster, name)!r}{detail} prices a step term at "
+        f"{costs[worst]!r} s, so the step time is not finite")
+
+
 def _simulate(step: _Step, world: int, local_batch: int, io: IoModel | None,
               latency_scale: float, memory: MemoryBreakdown | None
               ) -> tuple[list[float], list[float], StepMetrics]:
     """Time a compiled step; return each task's start and end and the metrics.
 
     Exposed communication is the makespan minus the summed compute time: the
-    compute stream is a single dependency chain, so that sum is exactly the
-    makespan of the step with every collective at zero duration.
+    compute stream is a single dependency chain, so that sum, added left to
+    right in issue order as the chain adds it, is exactly the makespan of
+    the step with every collective at zero duration.  (The builtin `sum` of
+    floats is compensated from Python 3.12 on, so it is not used.)  A
+    makespan that is not finite raises `ConfigError` naming the cluster
+    field that priced the step's largest term.
     """
     costs = step.durations(step.cluster.effective_flops_per_gpu, latency_scale)
     start, end = step.run(costs)
     synthetic = max(end, default=0.0)
-    compute_seconds = sum([costs[term] for term in step.compute_terms])
+    if not math.isfinite(synthetic):
+        raise _unpriceable(step, costs, latency_scale)
+    compute_seconds = 0.0
+    for term in step.compute_terms:
+        compute_seconds += costs[term]
     exposed = max(0.0, synthetic - compute_seconds)
     fraction = exposed / synthetic if synthetic > 0 else 0.0
 

@@ -273,6 +273,15 @@ def memory_footprint(plan: ShardingPlan, activations) -> MemoryBreakdown:
 
 @dataclass(frozen=True)
 class Task:
+    """One node of a step DAG.
+
+    In a schedule `step_schedule` builds, a task's id is its position and its
+    deps are a strictly ascending tuple of earlier ids.  Its `add` builds
+    each task through `_task`, which fills the instance dict directly: the
+    frozen `__init__` makes one `object.__setattr__` call per field, and a
+    small schedule spent about half its build time there.
+    """
+
     id: int
     kind: str                       # compute | free | all-gather | reduce-scatter | all-reduce
     unit: str
@@ -281,6 +290,24 @@ class Task:
     flops: float = 0.0
     group: range = range(0)         # rank range; a rank list only in to_json
     deps: tuple[int, ...] = ()
+
+
+_new = object.__new__
+
+
+def _task(id: int, kind: str, unit: str, phase: str, bytes: int,
+          flops: float, group: range, deps: tuple[int, ...]) -> Task:
+    """The `Task` of these field values, equal to `Task(...)` of them and as
+    frozen, built without `Task.__init__`.  The instance's own dict is
+    filled in field order; assigning a new dict instead would cost about
+    twice the memory per task."""
+    task = _new(Task)
+    attrs = task.__dict__
+    attrs["id"], attrs["kind"], attrs["unit"], attrs["phase"] = \
+        id, kind, unit, phase
+    attrs["bytes"], attrs["flops"], attrs["group"], attrs["deps"] = \
+        bytes, flops, group, deps
+    return task
 
 
 @dataclass(frozen=True)
@@ -341,10 +368,11 @@ def step_schedule(plan: ShardingPlan, policy: PrefetchPolicy,
 
     def add(kind: str, unit: Unit, phase: str, *, bytes: int = 0,
             flops: float = 0.0, group: range = range(0), deps=()) -> int:
-        tasks.append(Task(id=len(tasks), kind=kind, unit=unit.name,
-                          phase=phase, bytes=bytes, flops=flops, group=group,
-                          deps=tuple(sorted(set(deps)))))
-        return len(tasks) - 1
+        tid = len(tasks)
+        deps = tuple(sorted(set(deps)) if len(deps) > 1 else deps)
+        tasks.append(_task(tid, kind, unit.name, phase, bytes, flops, group,
+                           deps))
+        return tid
 
     shard_group = plan.groups.shard_group_of(0)
     replica_group = plan.groups.replica_group_of(0)

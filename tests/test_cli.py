@@ -714,6 +714,34 @@ class TestFlagValues:
         assert out == invoke(capsys, *run_args)[1]
 
 
+
+class TestNonFiniteStep:
+    """An inline cluster whose bandwidth or peak is positive but so small
+    that a step time overflows names that field and exits 2, printing no
+    report."""
+
+    RUN = ("--model", "vit-base", "--nodes", "2")
+
+    @pytest.mark.parametrize("field, cluster", [
+        ("intra_node_bw", {"peak_flops_per_gpu": 1.9e14,
+                           "intra_node_bw": 1e-308}),
+        ("peak_flops_per_gpu", {"peak_flops_per_gpu": 1e-308}),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--strategy", "full"),
+        ("sweep", "--strategies", "full", "--format", "json"),
+    ])
+    def test_tiny_cluster_value_names_its_field(self, capsys, tmp_path, field,
+                                                cluster, argv):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"cluster": cluster}))
+        code, out, err = invoke(capsys, *argv, *self.RUN, "--config", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {field}: ")
+        assert "nan" not in out.lower() and "inf" not in out.lower()
+        assert out == ""
+
+
 OBSERVATIONS_5B = [
     {"model": "mae-5b", "strategy": "hybrid2", "nodes": 32,
      "measured_ips": 1509.0},

@@ -31,6 +31,12 @@ class TestClusterSpec:
             ClusterSpec(num_nodes=1, peak_flops_per_gpu=1e12,
                         compute_efficiency=1.5)
 
+    def test_effective_flops_must_not_underflow(self):
+        with pytest.raises(ConfigError, match="^peak_flops_per_gpu times "):
+            ClusterSpec(num_nodes=1, peak_flops_per_gpu=5e-324)
+        assert ClusterSpec(num_nodes=1, peak_flops_per_gpu=5e-324,
+                           compute_efficiency=1.0).effective_flops_per_gpu > 0
+
     def test_effective_flops(self):
         spec = ClusterSpec(num_nodes=1, peak_flops_per_gpu=100e12,
                            compute_efficiency=0.5)

@@ -671,6 +671,30 @@ class TestBadScales:
             IoModel(rate)
 
 
+class TestNonFiniteStep:
+    """A step whose time overflows names the cluster field behind its
+    largest term: peak flops for compute, and for a collective its
+    bottleneck bandwidth or its link's latency."""
+
+    @pytest.mark.parametrize("field, nodes, changes, scale", [
+        ("peak_flops_per_gpu", 2, {"peak_flops_per_gpu": 1e-308}, 1.0),
+        ("intra_node_bw", 2, {"intra_node_bw": 1e-308}, 1.0),
+        ("inter_node_bw", 2, {"inter_node_bw": 1e-308}, 1.0),
+        ("inter_node_latency", 2, {"inter_node_latency": 1e307}, 1.0),
+        ("inter_node_latency", 2, {"inter_node_latency": 1.0}, 1e308),
+        ("intra_node_latency", 1, {"intra_node_latency": 1e307}, 1.0),
+    ])
+    def test_overflow_names_the_field(self, field, nodes, changes, scale):
+        spec = replace(frontier(nodes), **changes)
+        sched, mem, _ = prepare_scenario(
+            Scenario("vit-base", Strategy.full_shard(), nodes), spec)
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            simulate_step(sched, spec, latency_scale=scale, memory=mem)
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            sweep(["vit-base"], [Strategy.full_shard()], [nodes], spec,
+                  latency_scale=scale)
+
+
 class TestCommFraction:
     def test_zero_byte_collectives(self):
         sched = manual_schedule([

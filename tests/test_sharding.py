@@ -1,7 +1,7 @@
 import json
 import math
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from shardsim import (
     param_count,
     step_schedule,
 )
+from shardsim.sharding import PREFETCH_MODES
 
 warnings.simplefilter("ignore", UserWarning)
 
@@ -459,3 +460,35 @@ class TestShardingRule:
         assert gradop.params_bytes == noshard.params_bytes
         assert gradop.grads_bytes == full.grads_bytes
         assert gradop.optimizer_bytes == full.optimizer_bytes
+
+
+class TestBuiltTasks:
+    """Every task `step_schedule` builds is the `Task` its fields make: equal
+    and hashed by value, frozen, and with id = position and deps a strictly
+    ascending tuple of earlier ids."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(plans_per_strategy(), st.sampled_from(PREFETCH_MODES),
+           st.booleans(), st.sampled_from((1, 2, 4)))
+    def test_tasks_are_plain_frozen_tasks(self, plans, mode, limit, inflight):
+        policy = PrefetchPolicy(mode=mode, limit_all_gathers=limit,
+                                max_inflight=inflight)
+        for plan in plans.values():
+            sched = step_schedule(plan, policy, local_batch=1)
+            for position, task in enumerate(sched.tasks):
+                assert type(task) is Task
+                assert list(vars(task)) == [f.name for f in fields(Task)]
+                rebuilt = Task(**vars(task))
+                assert task == rebuilt and hash(task) == hash(rebuilt)
+                assert task.id == position
+                assert type(task.deps) is tuple
+                assert all(a < b for a, b in zip(task.deps, task.deps[1:]))
+                assert all(0 <= dep < task.id for dep in task.deps)
+                with pytest.raises(FrozenInstanceError):
+                    task.deps = ()
+                with pytest.raises(FrozenInstanceError):
+                    del task.kind
+                assert replace(task) == task
+                moved = replace(task, id=task.id + 1)
+                assert moved.id == task.id + 1
+                assert replace(moved, id=task.id) == task
