@@ -12,12 +12,13 @@ anywhere, so identical inputs produce identical traces.
 and the event trace, the timed step itself (its schedule, compiled step, and
 each task's start and end), which names streams and builds `Event`s on read.
 
-A schedule compiles into one step object: per task, two predecessors, any
-extra ones, and a term, whose cost a simulation prices once (one per distinct
-compute flops value and collective, one zero term for FREEs).  `simulate_step`
-and `calibrate` compile a schedule on its own groups; `sweep` compiles one
-schedule per shape and binds it to the groups of every node count that shares
-that shape.
+A schedule compiles into one step object: per timed task, two predecessors,
+any extra ones, and a term, whose cost a simulation prices once (one per
+distinct compute flops value and collective, one zero term for FREEs); a
+FREE that ends with the compute stream's last task has no record.
+`simulate_step` and `calibrate` compile a schedule on its own groups; `sweep`
+compiles one schedule per shape and binds it to the groups of every node
+count that shares that shape.
 
 The input stage is modeled as a pipelined source: in steady state the step
 time is max(simulated makespan, local_batch / io_rate); it never adds.
@@ -29,6 +30,7 @@ import copy
 import json
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .arch import CHECKPOINTED, ActivationEstimate, MAEConfig, ViTConfig, \
@@ -120,32 +122,40 @@ class _Step:
     """A schedule's timing on one group per stream, reusable while only
     compute efficiency and latency scale vary between simulations.
 
-    Each task has a record `(pred, pred, extra preds, term)`, in task-id
-    order: its deps and the task issued before it on its stream, -1 for a
-    missing pred.  Term 0 costs zero and is only a FREE's; term i > 0 is a
-    distinct compute flops value and term -i a distinct collective (kind,
-    bytes, stream), so one cost list holds both.  Stream k > 0 is
-    `groups[k - 1]`, a distinct group in order of first appearance, priced
-    on `cluster`; `bind` reprices the collective terms on other groups.  A
-    FREE with no deps, or whose one dep is its stream's last task, ends with
-    that task, so it stays out of the stream chain.  `StepSchedule` has
-    checked every task.  The step keeps no names: `EventTrace` builds them.
+    Each timed task has a record `(pred, pred, extra preds, term)`, in
+    task-id order: the records of its deps and of the task issued before it
+    on its stream, -1 for a missing pred.  Term 0 costs zero and is only a
+    FREE's; term i > 0 is a distinct compute flops value and term -i a
+    distinct collective (kind, bytes, stream), so one cost list holds both.
+    Stream k > 0 is `groups[k - 1]`, a distinct group in order of first
+    appearance, priced on `cluster`; `bind` reprices the collective terms on
+    other groups.  A FREE with no deps, or whose one dep is the compute
+    stream's last task, ends with that task: it is folded, with no record
+    and out of the stream chain.  `task_records` maps each task to its
+    record, a folded FREE to the record it ends with (-1 for none), and
+    deps are read through it; mae-5b hybrid2 on 32 nodes times 390 records
+    for its 520 tasks.  `StepSchedule` has checked every task.  The step
+    keeps no names: `EventTrace` builds them.
     """
 
-    __slots__ = ("records", "resources", "compute_terms", "flops",
-                 "term_keys", "groups", "cluster", "terms")
+    __slots__ = ("records", "task_records", "resources", "compute_terms",
+                 "flops", "term_keys", "groups", "cluster", "terms")
 
     def __init__(self, schedule: StepSchedule, cluster: ClusterSpec) -> None:
         self.records: list[tuple[int, int, tuple[int, ...], int]] = []
+        self.task_records: list[int] = []
         self.resources: list[int] = []      # each task's stream
         self.compute_terms: list[int] = []  # each compute task's term
-        record = self.records.append
+        records = self.records
+        record = records.append
+        record_of = self.task_records
+        map_task = record_of.append
         resource = self.resources.append
         compute = self.compute_terms.append
         flops: dict[float, int] = {}
         collectives: dict[tuple[str, int, int], int] = {}
         streams: dict[range, int] = {}
-        last = [-1]     # stream -> its chain's latest task, -1 for none
+        last = [-1]     # stream -> its chain's latest record, -1 for none
         for t in schedule.tasks:
             deps = t.deps
             kind = t.kind
@@ -154,9 +164,10 @@ class _Step:
                 term = flops.setdefault(t.flops, len(flops) + 1)
                 compute(term)
             elif kind == FREE:
-                if not deps or deps == (last[0],):
+                if not deps or len(deps) == 1 \
+                        and record_of[deps[0]] == last[0]:
                     resource(0)
-                    record((last[0], -1, (), 0))
+                    map_task(last[0])
                     continue
                 stream = term = 0
             else:
@@ -167,21 +178,25 @@ class _Step:
                 term = collectives.setdefault((kind, t.bytes, stream),
                                               -1 - len(collectives))
             previous = last[stream]
-            last[stream] = t.id
+            last[stream] = r = len(records)
+            map_task(r)
             resource(stream)
             # Unrolled: on a small schedule this walk costs as much as a run.
             k = len(deps)
-            if previous < 0 or previous in deps:
-                if k == 2:
-                    record((deps[0], deps[1], (), term))
-                elif k > 2:
-                    record((deps[0], deps[1], deps[2:], term))
-                else:
-                    record((deps[0] if k else -1, -1, (), term))
-            elif k == 1:
-                record((deps[0], previous, (), term))
+            if k == 1:
+                a = record_of[deps[0]]
+                record((a, -1 if previous == a else previous, (), term))
+            elif k == 2:
+                a = record_of[deps[0]]
+                b = record_of[deps[1]]
+                record((a, b, () if previous < 0 or previous == a
+                        or previous == b else (previous,), term))
             elif k:
-                record((deps[0], deps[1], (*deps[2:], previous), term))
+                a, b, *more = map(record_of.__getitem__, deps)
+                if previous >= 0 and previous != a and previous != b \
+                        and previous not in more:
+                    more.append(previous)
+                record((a, b, tuple(more), term))
             else:
                 record((previous, -1, (), term))
         self.flops = [0.0, *flops]      # by term, from 0
@@ -211,10 +226,10 @@ class _Step:
         return costs
 
     def run(self, costs: list[float]) -> tuple[list[float], list[float]]:
-        """Start and end time of every task, each stream running its tasks in
-        issue (task-id) order, given each term's cost.
+        """Start and end time of every record, each stream running its tasks
+        in issue (task-id) order, given each term's cost.
 
-        One pass in task-id order: a task starts when the last of its preds
+        One pass in record order: a record starts when the last of its preds
         has ended.
         """
         n = len(self.records)
@@ -234,6 +249,27 @@ class _Step:
             end[tid] = ready + costs[term]
         end.pop()
         return start, end
+
+    def task_times(self, start: list[float], end: list[float]
+                   ) -> tuple[list[float], list[float]]:
+        """Each task's start and end, given each record's from `run`: a
+        folded FREE starts and ends when its record ends, at 0.0 for none.
+        A task owns a record when its map entry is the next record."""
+        if len(end) == len(self.task_records):
+            return start, end
+        starts: list[float] = []
+        ends: list[float] = []
+        owned = 0
+        for r in self.task_records:
+            if r == owned:
+                starts.append(start[r])
+                ends.append(end[r])
+                owned += 1
+            else:
+                e = end[r] if r >= 0 else 0.0
+                starts.append(e)
+                ends.append(e)
+        return starts, ends
 
 
 def _unpriceable(step: _Step, costs: list[float],
@@ -267,7 +303,8 @@ def _unpriceable(step: _Step, costs: list[float],
 def _simulate(step: _Step, world: int, local_batch: int, io: IoModel | None,
               latency_scale: float, memory: MemoryBreakdown | None
               ) -> tuple[list[float], list[float], StepMetrics]:
-    """Time a compiled step; return each task's start and end and the metrics.
+    """Time a compiled step; return each record's start and end and the
+    metrics.
 
     Exposed communication is the makespan minus the summed compute time: the
     compute stream is a single dependency chain, so that sum, added left to
@@ -275,7 +312,8 @@ def _simulate(step: _Step, world: int, local_batch: int, io: IoModel | None,
     the step with every collective at zero duration.  (The builtin `sum` of
     floats is compensated from Python 3.12 on, so it is not used.)  A
     makespan that is not finite raises `ConfigError` naming the cluster
-    field that priced the step's largest term.
+    field that priced the step's largest term, and an input stage that is
+    not finite one naming the io rate.
     """
     costs = step.durations(step.cluster.effective_flops_per_gpu, latency_scale)
     start, end = step.run(costs)
@@ -291,7 +329,13 @@ def _simulate(step: _Step, world: int, local_batch: int, io: IoModel | None,
     io_seconds = 0.0
     seconds = synthetic
     if io is not None:
-        io_seconds = local_batch / io.images_per_second_per_rank
+        rate = io.images_per_second_per_rank
+        io_seconds = local_batch / rate
+        if not math.isfinite(io_seconds):
+            raise ConfigError(
+                f"io_rate: {rate!r} images/s per rank loads a local batch of "
+                f"{local_batch} in {io_seconds!r} s, so the step time is not "
+                "finite")
         seconds = max(synthetic, io_seconds)
     ips = world * local_batch / seconds if seconds > 0 else 0.0
     metrics = StepMetrics(
@@ -315,7 +359,7 @@ def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
     step = _Step(schedule, cluster)
     start, end, metrics = _simulate(step, schedule.world, schedule.local_batch,
                                     io, latency_scale, memory)
-    return EventTrace(schedule, step, start, end), metrics
+    return EventTrace(schedule, step, *step.task_times(start, end)), metrics
 
 
 @dataclass(frozen=True)
@@ -533,6 +577,33 @@ def _geomspace(first: float, last: float, num: int) -> list[float]:
     return points
 
 
+class _Frontier:
+    """Points (e, s), each ruling out the quadrant e' >= e, s' <= s, kept
+    only while no other point's quadrant holds them.  So with e ascending, s
+    ascends too: the point with the largest e <= e' has the largest s, and
+    one bisect tells whether any point rules out (e', s')."""
+
+    __slots__ = ("es", "ss")
+
+    def __init__(self) -> None:
+        self.es: list[float] = []
+        self.ss: list[float] = []
+
+    def rules_out(self, e: float, s: float) -> bool:
+        i = bisect_right(self.es, e)
+        return i > 0 and self.ss[i - 1] >= s
+
+    def add(self, e: float, s: float) -> None:
+        """Keep (e, s) unless a point rules it out, dropping the points it
+        rules out: those from the first e' >= e while s' <= s."""
+        if self.rules_out(e, s):
+            return
+        i = bisect_left(self.es, e)
+        j = bisect_right(self.ss, s, i)
+        self.es[i:j] = [e]
+        self.ss[i:j] = [s]
+
+
 @dataclass(frozen=True)
 class CalibratedParams:
     compute_efficiency: float
@@ -566,11 +637,16 @@ def calibrate(observations, cluster: ClusterSpec,
       e0, s >= s0), and so is their sum in the same order.  That sum is
       already >= the best loss, so no candidate in the quadrant can win.
       Grid values, not positions, are compared, so unsorted grids and
-      repeated values are fine.
+      repeated values are fine.  The points are kept as two frontiers, the
+      too-fast and the too-slow points no other point of their kind rules
+      out; a point a frontier drops rules out only part of what its
+      dominator does, so each skip is the one a scan of every point would
+      make, and a bisect makes it.
 
     Each measured ips must be finite and > 0, each efficiency in (0, 1] and
     each latency scale finite and > 0; a bad value raises `ConfigError`, as
-    do observations that no candidate fits with a finite loss.
+    do a peak whose product with the lowest candidate efficiency is 0 and
+    observations that no candidate fits with a finite loss.
     """
     observations = list(observations)
     if len(observations) < 2:
@@ -591,6 +667,13 @@ def calibrate(observations, cluster: ClusterSpec,
                                  for s in scale_grid):
         raise ConfigError("latency_scale_grid: values must be finite "
                           f"numbers > 0, got {scale_grid!r}")
+    # Refinement clamps an efficiency to >= 1e-3, so none falls below this.
+    lowest = min(*eff_grid, 1e-3)
+    if cluster.peak_flops_per_gpu * lowest == 0:
+        raise ConfigError(
+            f"peak_flops_per_gpu: {cluster.peak_flops_per_gpu!r} at compute "
+            f"efficiency {lowest!r} gives 0 flops/s, so a step time is not "
+            "finite")
 
     prepared = []
     for i, (scenario, measured) in enumerate(observations):
@@ -629,9 +712,10 @@ def calibrate(observations, cluster: ClusterSpec,
     # Evaluated candidates (e, s) whose simulated ips were each too fast, or
     # each too slow.  The loss found at such a point is >= the best, now and
     # later: it reached the best of its time or was a full loss, and the
-    # best only falls.  So each rules out its quadrant for good.
-    too_fast: list[tuple[float, float]] = []
-    too_slow: list[tuple[float, float]] = []
+    # best only falls.  So each rules out its quadrant for good.  A too-slow
+    # (e, s) rules out what a too-fast (-e, -s) would in negated values.
+    too_fast = _Frontier()
+    too_slow = _Frontier()
 
     # Round 0 searches the given grids.  Each later round searches a 9 x 9
     # grid around the best point so far, one coarse step to each side in
@@ -649,14 +733,15 @@ def calibrate(observations, cluster: ClusterSpec,
             s_width **= 0.25
         for e in eff_grid:
             for s in scale_grid:
-                if any(e >= e1 and s <= s1 for e1, s1 in too_fast) or \
-                        any(e <= e1 and s >= s1 for e1, s1 in too_slow):
+                if too_fast.rules_out(e, s) or too_slow.rules_out(-e, -s):
                     continue
                 value, side = loss(e, s, best[0])
                 if value < best[0]:
                     best = (value, e, s)
-                if side:
-                    (too_fast if side > 0 else too_slow).append((e, s))
+                if side > 0:
+                    too_fast.add(e, s)
+                elif side:
+                    too_slow.add(-e, -s)
 
     residual, efficiency, scale = best
     if residual == math.inf:

@@ -741,6 +741,30 @@ class TestNonFiniteStep:
         assert "nan" not in out.lower() and "inf" not in out.lower()
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--strategy", "full"),
+        ("sweep", "--strategies", "full", "--format", "json"),
+    ])
+    def test_tiny_io_rate_names_it(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, *self.RUN, "--io-rate", "1e-308")
+        assert code == 2
+        assert err.startswith("error: io_rate: 1e-308 ")
+        assert "Traceback" not in err
+        assert "inf" not in out and out == ""
+
+    def test_tiny_peak_names_it_in_calibrate(self, capsys, tmp_path):
+        observations = tmp_path / "obs.json"
+        observations.write_text(json.dumps(OBSERVATIONS_5B))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"cluster": {"peak_flops_per_gpu": 2e-323}}))
+        code, out, err = invoke(capsys, "calibrate", "--observations",
+                                str(observations), "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: peak_flops_per_gpu: 2e-323 ")
+        assert "Traceback" not in err
+        assert "inf" not in out and out == ""
+
 
 OBSERVATIONS_5B = [
     {"model": "mae-5b", "strategy": "hybrid2", "nodes": 32,

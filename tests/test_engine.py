@@ -37,7 +37,8 @@ from shardsim import (
     sweep,
 )
 from shardsim.collectives import group_nodes
-from shardsim.engine import CalibratedParams, _geomspace, _linspace, _Step
+from shardsim.engine import CalibratedParams, _Frontier, _geomspace, \
+    _linspace, _Step
 from shardsim.sharding import COMPUTE, FREE
 
 warnings.simplefilter("ignore", UserWarning)
@@ -318,18 +319,38 @@ def dag_schedule(resources, deps, frees=()):
         for tid, (r, d) in enumerate(zip(resources, deps)))
 
 
+def task_terms(step):
+    """Each task's term, read through the step's task-to-record map: its
+    record's, or the zero term for a folded FREE, which owns no record."""
+    terms = []
+    owned = 0
+    for r in step.task_records:
+        if r == owned:
+            terms.append(step.records[r][3])
+            owned += 1
+        else:
+            terms.append(0)
+    return terms
+
+
 def task_costs(step, durations):
     """Per-term costs that give each task of a step whose tasks each have
-    their own term its duration in `durations`."""
+    their own term, but for folded FREEs at 0.0, its duration in
+    `durations`."""
     costs = [0.0] * len(step.durations(1.0, 1.0))
-    for (_, _, _, term), duration in zip(step.records, durations):
+    for term, duration in zip(task_terms(step), durations):
         costs[term] = duration
     return costs
 
 
 def task_durations(step, costs):
     """Each task's duration under per-term `costs`."""
-    return [costs[term] for _, _, _, term in step.records]
+    return [costs[term] for term in task_terms(step)]
+
+
+def task_run(step, costs):
+    """Each task's start and end time under per-term `costs`."""
+    return step.task_times(*step.run(costs))
 
 
 def assert_valid_timeline(schedule, resources, start, end):
@@ -374,7 +395,7 @@ class TestEventLoop:
     def test_matches_reference_scheduler(self, dag):
         resources, deps, durations = dag
         step = _Step(dag_schedule(resources, deps), LAB)
-        assert step.run(task_costs(step, durations)) == \
+        assert task_run(step, task_costs(step, durations)) == \
             reference_run(resources, deps, durations)
 
 
@@ -422,13 +443,25 @@ class TestFreeRule:
     @settings(max_examples=400, deadline=None)
     @given(free_dags())
     def test_free_tasks_keep_issue_order(self, dag):
-        """A FREE that only follows its stream's latest task stays out of the
-        chain; every other FREE is in it.  Either way each stream runs its
-        tasks in issue order."""
+        """A FREE that only follows its stream's latest task is folded: it
+        has no record and stays out of the chain; every other FREE is in
+        it.  Either way each stream runs its tasks in issue order."""
         resources, deps, frees, chained, durations = dag
         step = _Step(dag_schedule(resources, deps, frees), LAB)
-        assert step.run(task_costs(step, durations)) == \
+        assert task_run(step, task_costs(step, durations)) == \
             reference_run(resources, chained, durations)
+
+    @pytest.mark.parametrize("strategy, tasks, records", [
+        (Strategy.hybrid(2), 520, 390),
+        (Strategy.full_shard(), 455, 325),
+    ])
+    def test_published_5b_frees_have_no_record(self, strategy, tasks,
+                                               records):
+        schedule, _, spec = prepare_scenario(
+            Scenario("mae-5b", strategy, 32), frontier(1))
+        step = _Step(schedule, spec)
+        assert (len(schedule.tasks), len(step.records)) == (tasks, records)
+        assert len(step.task_records) == tasks
 
 
 @st.composite
@@ -490,7 +523,7 @@ class TestIssueOrder:
     @given(step_cases())
     def test_step_schedules_match_list_scheduler(self, case):
         schedule, step, costs = case
-        start, end = step.run(costs)
+        start, end = task_run(step, costs)
         assert (start, end) == reference_run(
             step.resources, [t.deps for t in schedule.tasks],
             task_durations(step, costs))
@@ -503,7 +536,7 @@ class TestIssueOrder:
         schedule = dag_schedule(resources, deps)
         step = _Step(schedule, LAB)
         assert_valid_timeline(schedule, resources,
-                              *step.run(task_costs(step, durations)))
+                              *task_run(step, task_costs(step, durations)))
 
 
 def sweep_groups(plan):
@@ -536,7 +569,8 @@ def stream_names(schedule, cluster):
 
 def trace_of(schedule, step):
     """The trace of `step`, compiled from `schedule`, at unit costs."""
-    return EventTrace(schedule, step, *step.run(step.durations(1.0, 1.0)))
+    return EventTrace(schedule, step,
+                      *task_run(step, step.durations(1.0, 1.0)))
 
 
 def other_plan(plan, nodes):
@@ -693,6 +727,23 @@ class TestNonFiniteStep:
         with pytest.raises(ConfigError, match=f"^{field}: "):
             sweep(["vit-base"], [Strategy.full_shard()], [nodes], spec,
                   latency_scale=scale)
+
+    def test_tiny_io_rate_names_it(self):
+        spec = frontier(2)
+        sched, _, _ = prepare_scenario(
+            Scenario("vit-base", Strategy.full_shard(), 2), spec)
+        io = IoModel(1e-308)
+        with pytest.raises(ConfigError, match="^io_rate: 1e-308 "):
+            simulate_step(sched, spec, io=io)
+        with pytest.raises(ConfigError, match="^io_rate: 1e-308 "):
+            sweep(["vit-base"], [Strategy.full_shard()], [2], spec, io=io)
+
+    def test_calibrate_refuses_a_peak_that_prices_no_flops(self):
+        observations = [(Scenario("vit-base", Strategy.no_shard(), 1), 500.0),
+                        (Scenario("vit-base", Strategy.no_shard(), 4), 1800.0)]
+        spec = replace(frontier(1), peak_flops_per_gpu=2e-323)
+        with pytest.raises(ConfigError, match="^peak_flops_per_gpu: 2e-323 "):
+            calibrate(observations, spec)
 
 
 class TestCommFraction:
@@ -1040,6 +1091,45 @@ def calibration_problems(draw):
         observations.append((scenario, ips * factor))
     rounds = draw(st.integers(0, 3))
     return observations, efficiency_grid, scale_grid, rounds
+
+
+# Point coordinates, so ties are common, with two adjacent floats.
+FRONTIER_VALUES = (0.1, 0.25, 0.5, math.nextafter(0.5, 1.0), 1.0, 4.0)
+
+
+class TestFrontier:
+    """What `calibrate`'s quadrant skip rests on: a frontier rules out what
+    a scan of every point added to it does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("fast", "slow", "query")),
+                              st.sampled_from(FRONTIER_VALUES),
+                              st.sampled_from(FRONTIER_VALUES)),
+                    max_size=40))
+    def test_skip_matches_scan_of_every_point(self, ops):
+        too_fast, too_slow = _Frontier(), _Frontier()
+        fast, slow = [], []
+
+        def check(e, s):
+            assert too_fast.rules_out(e, s) == \
+                any(e >= e1 and s <= s1 for e1, s1 in fast)
+            assert too_slow.rules_out(-e, -s) == \
+                any(e <= e1 and s >= s1 for e1, s1 in slow)
+
+        for kind, e, s in ops:
+            if kind == "fast":
+                too_fast.add(e, s)
+                fast.append((e, s))
+            elif kind == "slow":
+                too_slow.add(-e, -s)
+                slow.append((e, s))
+            check(e, s)
+        for frontier_ in (too_fast, too_slow):
+            assert frontier_.es == sorted(set(frontier_.es))
+            assert frontier_.ss == sorted(set(frontier_.ss))
+        for e in FRONTIER_VALUES:
+            for s in FRONTIER_VALUES:
+                check(e, s)
 
 
 def count_simulations(monkeypatch):
