@@ -18,6 +18,7 @@ groups of a double partition do run their collectives simultaneously).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cluster import ClusterSpec
@@ -29,13 +30,20 @@ ALL_REDUCE = "all-reduce"
 _KINDS = (ALL_GATHER, REDUCE_SCATTER, ALL_REDUCE)
 
 
-def check_collective(kind: str, nbytes: float, group: range) -> None:
-    """Raise `ValueError` unless `kind` is a collective kind, `nbytes` is
-    >= 0 and `group` is a non-empty ascending rank range."""
+def check_payload(kind: str, nbytes: float) -> None:
+    """Raise `ValueError` unless `kind` is a collective kind and `nbytes` is
+    a finite number >= 0."""
     if kind not in _KINDS:
         raise ValueError(f"unknown collective kind {kind!r}")
-    if nbytes < 0:
-        raise ValueError("payload bytes must be >= 0")
+    if not 0 <= nbytes < math.inf:
+        raise ValueError(
+            f"payload bytes must be a finite number >= 0, got {nbytes!r}")
+
+
+def check_collective(kind: str, nbytes: float, group: range) -> None:
+    """Raise `ValueError` unless `check_payload` passes and `group` is a
+    non-empty ascending rank range."""
+    check_payload(kind, nbytes)
     if not isinstance(group, range) or not group or group.step < 1:
         raise ValueError(
             "collective group must be a non-empty ascending rank range")

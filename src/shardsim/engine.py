@@ -15,10 +15,12 @@ each task's start and end), which names streams and builds `Event`s on read.
 A schedule compiles into one step object: per timed task, two predecessors,
 any extra ones, and a term, whose cost a simulation prices once (one per
 distinct compute flops value and collective, one zero term for FREEs); a
-FREE that ends with the compute stream's last task has no record.
-`simulate_step` and `calibrate` compile a schedule on its own groups; `sweep`
-compiles one schedule per shape and binds it to the groups of every node
-count that shares that shape.
+FREE that ends with the compute stream's last task has no record.  A run
+returns each record's end only, and the makespan is read from the stream
+tails, each stream's last record; only the trace `simulate_step` returns
+rebuilds starts, from the ends.  `simulate_step` and `calibrate` compile a
+schedule on its own groups; `sweep` compiles one schedule per shape and
+binds it to the groups of every node count that shares that shape.
 
 The input stage is modeled as a pipelined source: in steady state the step
 time is max(simulated makespan, local_batch / io_rate); it never adds.
@@ -136,10 +138,17 @@ class _Step:
     deps are read through it; mae-5b hybrid2 on 32 nodes times 390 records
     for its 520 tasks.  `StepSchedule` has checked every task.  The step
     keeps no names: `EventTrace` builds them.
+
+    `run` returns each record's end only.  Every record waits for the
+    previous record of its stream, and `StepSchedule` refuses a negative or
+    non-finite flops or bytes, so no cost is negative or NaN and the ends
+    along a stream never fall: the makespan is the latest end of the stream
+    `tails`, each stream's last record.  Only `task_times`, which the trace
+    reads, rebuilds starts.
     """
 
     __slots__ = ("records", "task_records", "resources", "compute_terms",
-                 "flops", "term_keys", "groups", "cluster", "terms")
+                 "tails", "flops", "term_keys", "groups", "cluster", "terms")
 
     def __init__(self, schedule: StepSchedule, cluster: ClusterSpec) -> None:
         self.records: list[tuple[int, int, tuple[int, ...], int]] = []
@@ -199,6 +208,7 @@ class _Step:
                 record((a, b, tuple(more), term))
             else:
                 record((previous, -1, (), term))
+        self.tails = [r for r in last if r >= 0]
         self.flops = [0.0, *flops]      # by term, from 0
         self.term_keys = tuple(collectives)[::-1]   # by term, from -len
         self._price(tuple(streams), cluster)
@@ -225,16 +235,15 @@ class _Step:
         costs += [wire + latency * latency_scale for wire, latency in self.terms]
         return costs
 
-    def run(self, costs: list[float]) -> tuple[list[float], list[float]]:
-        """Start and end time of every record, each stream running its tasks
-        in issue (task-id) order, given each term's cost.
+    def run(self, costs: list[float]) -> list[float]:
+        """The end time of every record, each stream running its tasks in
+        issue (task-id) order, given each term's cost.
 
         One pass in record order: a record starts when the last of its preds
-        has ended.
+        has ended and ends its term's cost later.  Starts are not kept:
+        `makespan` reads the ends and `task_times` rebuilds the starts.
         """
-        n = len(self.records)
-        start = [0.0] * n
-        end = [0.0] * (n + 1)   # end[-1] stays 0.0: a missing pred
+        end = [0.0] * (len(self.records) + 1)   # end[-1] stays 0.0: no pred
         for tid, (a, b, more, term) in enumerate(self.records):
             ready = end[a]
             e = end[b]
@@ -245,16 +254,35 @@ class _Step:
                     e = end[p]
                     if e > ready:
                         ready = e
-            start[tid] = ready
             end[tid] = ready + costs[term]
         end.pop()
-        return start, end
+        return end
 
-    def task_times(self, start: list[float], end: list[float]
-                   ) -> tuple[list[float], list[float]]:
-        """Each task's start and end, given each record's from `run`: a
-        folded FREE starts and ends when its record ends, at 0.0 for none.
-        A task owns a record when its map entry is the next record."""
+    def makespan(self, end: list[float]) -> float:
+        """The latest of `run`'s ends, read from the stream tails alone; 0.0
+        for a step with no records."""
+        return max([end[r] for r in self.tails], default=0.0)
+
+    def task_times(self, end: list[float]) -> tuple[list[float], list[float]]:
+        """Each task's start and end, given each record's end from `run`.  A
+        record starts at the latest end of its preds, compared in `run`'s
+        order, so at exactly the time `run` started it; a folded FREE starts
+        and ends when its record ends, at 0.0 for none.  A task owns a
+        record when its map entry is the next record."""
+        start: list[float] = []
+        begin = start.append
+        end.append(0.0)     # a missing pred, as in `run`
+        for a, b, more, _ in self.records:
+            ready = end[a]
+            e = end[b]
+            if e > ready:
+                ready = e
+            for p in more:
+                e = end[p]
+                if e > ready:
+                    ready = e
+            begin(ready)
+        end.pop()
         if len(end) == len(self.task_records):
             return start, end
         starts: list[float] = []
@@ -300,11 +328,24 @@ def _unpriceable(step: _Step, costs: list[float],
         f"{costs[worst]!r} s, so the step time is not finite")
 
 
+def _io_seconds(io: IoModel | None, local_batch: int) -> float:
+    """The input stage's time for a local batch, 0.0 without one; a time
+    that is not finite raises `ConfigError` naming the io rate."""
+    if io is None:
+        return 0.0
+    rate = io.images_per_second_per_rank
+    seconds = local_batch / rate
+    if not math.isfinite(seconds):
+        raise ConfigError(
+            f"io_rate: {rate!r} images/s per rank loads a local batch of "
+            f"{local_batch} in {seconds!r} s, so the step time is not finite")
+    return seconds
+
+
 def _simulate(step: _Step, world: int, local_batch: int, io: IoModel | None,
               latency_scale: float, memory: MemoryBreakdown | None
-              ) -> tuple[list[float], list[float], StepMetrics]:
-    """Time a compiled step; return each record's start and end and the
-    metrics.
+              ) -> tuple[list[float], StepMetrics]:
+    """Time a compiled step; return each record's end and the metrics.
 
     Exposed communication is the makespan minus the summed compute time: the
     compute stream is a single dependency chain, so that sum, added left to
@@ -316,8 +357,8 @@ def _simulate(step: _Step, world: int, local_batch: int, io: IoModel | None,
     not finite one naming the io rate.
     """
     costs = step.durations(step.cluster.effective_flops_per_gpu, latency_scale)
-    start, end = step.run(costs)
-    synthetic = max(end, default=0.0)
+    end = step.run(costs)
+    synthetic = step.makespan(end)
     if not math.isfinite(synthetic):
         raise _unpriceable(step, costs, latency_scale)
     compute_seconds = 0.0
@@ -326,17 +367,8 @@ def _simulate(step: _Step, world: int, local_batch: int, io: IoModel | None,
     exposed = max(0.0, synthetic - compute_seconds)
     fraction = exposed / synthetic if synthetic > 0 else 0.0
 
-    io_seconds = 0.0
-    seconds = synthetic
-    if io is not None:
-        rate = io.images_per_second_per_rank
-        io_seconds = local_batch / rate
-        if not math.isfinite(io_seconds):
-            raise ConfigError(
-                f"io_rate: {rate!r} images/s per rank loads a local batch of "
-                f"{local_batch} in {io_seconds!r} s, so the step time is not "
-                "finite")
-        seconds = max(synthetic, io_seconds)
+    io_seconds = _io_seconds(io, local_batch)
+    seconds = max(synthetic, io_seconds)
     ips = world * local_batch / seconds if seconds > 0 else 0.0
     metrics = StepMetrics(
         step_seconds=seconds,
@@ -347,19 +379,20 @@ def _simulate(step: _Step, world: int, local_batch: int, io: IoModel | None,
         io_seconds=io_seconds,
         peak_memory=memory,
     )
-    return start, end, metrics
+    return end, metrics
 
 
 def simulate_step(schedule: StepSchedule, cluster: ClusterSpec,
                   io: IoModel | None = None, latency_scale: float = 1.0,
                   memory: MemoryBreakdown | None = None
                   ) -> tuple[EventTrace, StepMetrics]:
-    """Simulate one step; return its event trace and throughput metrics."""
+    """Simulate one step; return its event trace and throughput metrics.
+    The trace's starts are rebuilt from the run's ends."""
     _check_latency_scale(latency_scale)
     step = _Step(schedule, cluster)
-    start, end, metrics = _simulate(step, schedule.world, schedule.local_batch,
-                                    io, latency_scale, memory)
-    return EventTrace(schedule, step, *step.task_times(start, end)), metrics
+    end, metrics = _simulate(step, schedule.world, schedule.local_batch, io,
+                             latency_scale, memory)
+    return EventTrace(schedule, step, *step.task_times(end)), metrics
 
 
 @dataclass(frozen=True)
@@ -512,6 +545,7 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
     if not models or not strategies or not node_counts:
         raise ConfigError("models, strategies, and node_counts must be non-empty")
     _check_latency_scale(latency_scale)
+    _io_seconds(io, local_batch)    # every row's, checked if none is timed
     policy = policy or PrefetchPolicy()
     rows: list[SweepRow] = []
     for model in models:
@@ -535,7 +569,7 @@ def sweep(models, strategies, node_counts, cluster: ClusterSpec,
                 else:
                     step = steps[key] = _Step(step_schedule(
                         plan, policy, local_batch=local_batch), spec)
-                _, _, metrics = _simulate(
+                _, metrics = _simulate(
                     step, spec.world_size, local_batch, io, latency_scale,
                     memory_footprint(plan, acts))
                 measured.append((nodes, metrics))
@@ -699,8 +733,8 @@ def calibrate(observations, cluster: ClusterSpec,
         for step, peak, global_batch, measured in prepared:
             if total >= bound:
                 break
-            _, end = step.run(step.durations(peak * efficiency, scale))
-            ips = global_batch / max(end)
+            ips = global_batch / step.makespan(
+                step.run(step.durations(peak * efficiency, scale)))
             fast = fast and ips >= measured
             slow = slow and ips <= measured
             try:

@@ -41,7 +41,7 @@ from .arch import BACKWARD_MULTIPLIER, MAEConfig, ViTConfig, flops, \
     param_count
 from .cluster import ClusterSpec, ProcessGroups, build_groups
 from .collectives import ALL_GATHER, ALL_REDUCE, REDUCE_SCATTER, \
-    check_collective
+    check_collective, check_payload
 from .errors import ConfigError
 
 COMPUTE = "compute"
@@ -314,8 +314,9 @@ def _task(id: int, kind: str, unit: str, phase: str, bytes: int,
 class StepSchedule:
     """Dependency DAG of one training step for the canonical rank.  Building
     one checks the batch, which must be at least 1, and every task: its id is
-    its position, its deps are earlier ids, and a task that is neither
-    compute nor free is a valid collective."""
+    its position, its deps are earlier ids, a compute task's flops is a
+    finite number >= 0, and a task that is neither compute nor free is a
+    valid collective, whose bytes are a finite number >= 0."""
 
     tasks: tuple[Task, ...]
     strategy: Strategy
@@ -327,18 +328,33 @@ class StepSchedule:
         if self.local_batch < 1:
             raise ConfigError(
                 f"local_batch must be >= 1, got {self.local_batch!r}")
+        checked = None  # the group the last full collective check passed
         for position, task in enumerate(self.tasks):
-            if task.id != position:
+            tid = task.id
+            if tid != position:
                 raise ValueError("task ids must match their positions")
+            deps = task.deps
             # Deps on earlier tasks only keep the DAG acyclic and in order.
-            if task.deps and not 0 <= min(task.deps) <= max(task.deps) < task.id:
-                raise ValueError(f"task {task.id}: deps must be task ids in "
-                                 f"[0, {task.id}), got {task.deps}")
-            if task.kind != COMPUTE and task.kind != FREE:
+            if deps and not (0 <= deps[0] < tid if len(deps) == 1
+                             else 0 <= min(deps) <= max(deps) < tid):
+                raise ValueError(f"task {tid}: deps must be task ids in "
+                                 f"[0, {tid}), got {deps}")
+            kind = task.kind
+            if kind == COMPUTE:
+                if not 0 <= task.flops < math.inf:
+                    raise ValueError(f"task {tid}: flops must be a finite "
+                                     f"number >= 0, got {task.flops!r}")
+            elif kind != FREE:
+                # A range is immutable, so a group that passed stays valid.
+                group = task.group
                 try:
-                    check_collective(task.kind, task.bytes, task.group)
+                    if group is checked:
+                        check_payload(kind, task.bytes)
+                    else:
+                        check_collective(kind, task.bytes, group)
+                        checked = group
                 except ValueError as exc:
-                    raise ValueError(f"task {task.id}: {exc}") from None
+                    raise ValueError(f"task {tid}: {exc}") from None
 
     def collectives(self) -> list[Task]:
         return [t for t in self.tasks
@@ -354,6 +370,15 @@ class StepSchedule:
         }, indent=indent)
 
 
+def _ascending(deps: list[int]) -> tuple[int, ...]:
+    """The distinct ids of `deps` as a strictly ascending tuple; two are
+    ordered by one comparison."""
+    if len(deps) == 2:
+        a, b = deps
+        return (a, b) if a < b else (b, a) if b < a else (a,)
+    return tuple(sorted(set(deps)) if len(deps) > 2 else deps)
+
+
 def step_schedule(plan: ShardingPlan, policy: PrefetchPolicy,
                   local_batch: int) -> StepSchedule:
     """Build the compute/collective DAG of one training step under a plan.
@@ -365,13 +390,13 @@ def step_schedule(plan: ShardingPlan, policy: PrefetchPolicy,
     units = plan.units
     n = len(units)
     tasks: list[Task] = []
+    append = tasks.append
 
-    def add(kind: str, unit: Unit, phase: str, *, bytes: int = 0,
-            flops: float = 0.0, group: range = range(0), deps=()) -> int:
+    def add(kind: str, name: str, phase: str, nbytes: int, flops: float,
+            group: range, deps: tuple[int, ...]) -> int:
+        """Issue a task whose deps are a strictly ascending tuple."""
         tid = len(tasks)
-        deps = tuple(sorted(set(deps)) if len(deps) > 1 else deps)
-        tasks.append(_task(tid, kind, unit.name, phase, bytes, flops, group,
-                           deps))
+        append(_task(tid, kind, name, phase, nbytes, flops, group, deps))
         return tid
 
     shard_group = plan.groups.shard_group_of(0)
@@ -382,81 +407,84 @@ def step_schedule(plan: ShardingPlan, policy: PrefetchPolicy,
     bucketed = plan.strategy.kind is StrategyKind.REPLICATED_BUCKETED
     # Gathers that may run ahead of their compute; n never binds.
     limit = policy.max_inflight if policy.limit_all_gathers else n
+    names = [unit.name for unit in units]
+    full = [plan.unit_full_bytes(unit) for unit in units]
+    no_group = range(0)
 
-    # Per pass: its units in order, then the ids of its computes and of its
-    # all-gathers, by position.
-    passes = {FORWARD: (units, [], []), BACKWARD: (units[::-1], [], [])}
-    _, fwd_compute, fwd_ag = passes[FORWARD]
-    backward, bwd_compute, bwd_ag = passes[BACKWARD]
+    # Per pass: its units' names and full bytes in order, then the ids of its
+    # computes and of its all-gathers, by position.
+    passes = {FORWARD: (names, full, [], []),
+              BACKWARD: (names[::-1], full[::-1], [], [])}
+    _, _, fwd_compute, fwd_ag = passes[FORWARD]
+    _, bwd_full, bwd_compute, bwd_ag = passes[BACKWARD]
 
-    def gather(phase: str, *anchor: int) -> None:
+    def gather(phase: str, anchor: int) -> None:
         """Issue the all-gather of the pass's next unit, if one is left.  It
-        follows the pass's previous gather and `anchor`; once `limit` gathers
-        run ahead, it also waits for the compute `limit` positions back, if
-        that compute is issued."""
-        order, computes, issued = passes[phase]
+        follows the pass's previous gather and `anchor` (-1 for none); once
+        `limit` gathers run ahead, it also waits for the compute `limit`
+        positions back, if that compute is issued."""
+        order, nbytes, computes, issued = passes[phase]
         k = len(issued)
         if k == n:
             return
-        deps = [*anchor, *issued[-1:]]
+        deps = [anchor] if anchor >= 0 else []
+        if k:
+            deps.append(issued[-1])
         if 0 <= k - limit < len(computes):
             deps.append(computes[k - limit])
-        issued.append(add(ALL_GATHER, order[k], phase,
-                          bytes=plan.unit_full_bytes(order[k]),
-                          group=shard_group, deps=deps))
+        issued.append(add(ALL_GATHER, order[k], phase, nbytes[k], 0.0,
+                          shard_group, _ascending(deps)))
 
     # Forward: all-gather (stream-ordered, limiter-capped), compute, free.
     for unit in units:
         if gathers:
-            gather(FORWARD)
-        fwd_compute.append(add(COMPUTE, unit, FORWARD,
-                               flops=unit.forward_flops,
-                               deps=fwd_compute[-1:] + fwd_ag[-1:]))
+            gather(FORWARD, -1)
+        c_id = add(COMPUTE, unit.name, FORWARD, 0, unit.forward_flops,
+                   no_group, _ascending(fwd_compute[-1:] + fwd_ag[-1:]))
+        fwd_compute.append(c_id)
         if reshards:
-            add(FREE, unit, FORWARD, deps=fwd_compute[-1:])
+            add(FREE, unit.name, FORWARD, 0, 0.0, no_group, (c_id,))
 
     # Backward, reverse unit order.  A plan that re-shards parameters gathers
     # position 0 on entry and each next position per the prefetch policy.
     bucket_fill = 0
-    for k, unit in enumerate(backward):
+    bucket_bytes = plan.strategy.bucket_bytes
+    for k, unit in enumerate(units[::-1]):
+        name = unit.name
         grad_ready = bwd_compute[-1] if bwd_compute else fwd_compute[-1]
         if reshards and k == 0:
             gather(BACKWARD, grad_ready)
         if reshards and policy.mode == PREFETCH_BACKWARD_PRE:
             gather(BACKWARD, grad_ready)
 
-        c_id = add(COMPUTE, unit, BACKWARD, flops=unit.backward_flops,
-                   deps=[grad_ready, *bwd_ag[k:k + 1]])
+        c_id = add(COMPUTE, name, BACKWARD, 0, unit.backward_flops, no_group,
+                   _ascending([grad_ready, *bwd_ag[k:k + 1]]))
         bwd_compute.append(c_id)
 
         if reshards and policy.mode == PREFETCH_BACKWARD_POST:
             gather(BACKWARD, c_id)
 
         if gathers:
-            reduced = add(REDUCE_SCATTER, unit, BACKWARD,
-                          bytes=plan.unit_full_bytes(unit),
-                          group=shard_group, deps=(c_id,))
+            reduced = add(REDUCE_SCATTER, name, BACKWARD, bwd_full[k], 0.0,
+                          shard_group, (c_id,))
             if replica_reduce:   # hybrid: all-reduce the reduced shard
-                add(ALL_REDUCE, unit, BACKWARD,
-                    bytes=plan.unit_shard_bytes(unit), group=replica_group,
-                    deps=(reduced,))
+                add(ALL_REDUCE, name, BACKWARD, plan.unit_shard_bytes(unit),
+                    0.0, replica_group, (reduced,))
             if reshards and policy.mode == PREFETCH_NONE:
                 gather(BACKWARD, reduced)
-            add(FREE, unit, BACKWARD, deps=(c_id,))
+            add(FREE, name, BACKWARD, 0, 0.0, no_group, (c_id,))
         elif bucketed and replica_reduce:
-            bucket_fill += plan.unit_full_bytes(unit)
-            while bucket_fill >= plan.strategy.bucket_bytes:
-                add(ALL_REDUCE, unit, BACKWARD,
-                    bytes=plan.strategy.bucket_bytes, group=replica_group,
-                    deps=(c_id,))
-                bucket_fill -= plan.strategy.bucket_bytes
+            bucket_fill += bwd_full[k]
+            while bucket_fill >= bucket_bytes:
+                add(ALL_REDUCE, name, BACKWARD, bucket_bytes, 0.0,
+                    replica_group, (c_id,))
+                bucket_fill -= bucket_bytes
             if k == n - 1 and bucket_fill:
-                add(ALL_REDUCE, unit, BACKWARD, bytes=bucket_fill,
-                    group=replica_group, deps=(c_id,))
+                add(ALL_REDUCE, name, BACKWARD, bucket_fill, 0.0,
+                    replica_group, (c_id,))
         elif replica_reduce:   # full-gradient all-reduce per unit
-            add(ALL_REDUCE, unit, BACKWARD,
-                bytes=plan.unit_full_bytes(unit), group=replica_group,
-                deps=(c_id,))
+            add(ALL_REDUCE, name, BACKWARD, bwd_full[k], 0.0, replica_group,
+                (c_id,))
 
     return StepSchedule(tasks=tuple(tasks), strategy=plan.strategy,
                         policy=policy, world=plan.cluster.world_size,

@@ -744,6 +744,8 @@ class TestNonFiniteStep:
     @pytest.mark.parametrize("argv", [
         ("simulate", "--strategy", "full"),
         ("sweep", "--strategies", "full", "--format", "json"),
+        # Every row infeasible: 32 does not divide 16 ranks.
+        ("sweep", "--strategies", "hybrid32", "--format", "json"),
     ])
     def test_tiny_io_rate_names_it(self, capsys, argv):
         code, out, err = invoke(capsys, *argv, *self.RUN, "--io-rate", "1e-308")

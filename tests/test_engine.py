@@ -145,6 +145,36 @@ class TestSimulateStep:
                 self.GATHER, replace(self.GATHER, id=1, group=range(1)),
                 replace(self.GATHER, id=2, **bad)])
 
+    @pytest.mark.parametrize("bad", [
+        {"kind": "bogus"}, {"bytes": -1}, {"bytes": math.nan},
+        {"bytes": math.inf},
+    ])
+    def test_bad_collective_rejected_after_a_good_one_on_its_group(self, bad):
+        # Task 1 shares task 0's range object, whose group check passed; its
+        # kind and bytes are still checked.
+        with pytest.raises(ValueError, match="^task 1: "):
+            manual_schedule([self.GATHER, replace(self.GATHER, id=1, **bad)])
+
+    @pytest.mark.parametrize("flops", [-1e12, math.nan, math.inf])
+    def test_bad_compute_flops_rejected(self, flops):
+        with pytest.raises(ValueError, match="^task 1: flops must be a finite "
+                                             "number >= 0"):
+            manual_schedule([
+                Task(0, "compute", "a", "forward", flops=1e9),
+                Task(1, "compute", "b", "forward", flops=flops, deps=(0,))])
+
+    def test_negative_unit_flops_rejected(self):
+        plan = make_plan((Unit("u", 100, -1e12, -2e12),),
+                         Strategy.full_shard(), frontier(1))
+        with pytest.raises(ValueError, match=r"^task \d+: flops must be "):
+            step_schedule(plan, PrefetchPolicy(), local_batch=1)
+
+    @pytest.mark.parametrize("nbytes", [-1.0, math.nan, math.inf])
+    def test_bad_collective_call_bytes_rejected(self, nbytes):
+        with pytest.raises(ValueError, match="^payload bytes must be a finite "
+                                             "number >= 0"):
+            CollectiveCall("all-reduce", nbytes, range(2))
+
     def test_metrics_invariants(self):
         sched = step_schedule(
             make_plan(build_units(get_model("vit-base"), 8),
@@ -349,8 +379,9 @@ def task_durations(step, costs):
 
 
 def task_run(step, costs):
-    """Each task's start and end time under per-term `costs`."""
-    return step.task_times(*step.run(costs))
+    """Each task's start and end time under per-term `costs`, the starts
+    rebuilt from the run's ends."""
+    return step.task_times(step.run(costs))
 
 
 def assert_valid_timeline(schedule, resources, start, end):
@@ -539,6 +570,28 @@ class TestIssueOrder:
                               *task_run(step, task_costs(step, durations)))
 
 
+class TestRecordEnds:
+    """`run` keeps ends only: the makespan comes from the stream tails and
+    the trace rebuilds each start from its record's preds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_schedules(), st.data())
+    def test_tails_and_rebuilt_starts(self, case, data):
+        schedule, spec = case
+        step = _Step(schedule, spec)
+        n = len(step.durations(1.0, 1.0))
+        costs = data.draw(st.lists(
+            st.one_of(st.floats(0.0, 1e3),
+                      st.sampled_from((0.0, 1.0, math.inf))),
+            min_size=n, max_size=n))
+        costs[0] = 0.0      # the zero term
+        end = step.run(costs)
+        assert step.makespan(end) == max(end, default=0.0)
+        assert step.task_times(end) == reference_run(
+            step.resources, [t.deps for t in schedule.tasks],
+            task_durations(step, costs))
+
+
 def sweep_groups(plan):
     """Rank 0's shard and replica groups, singletons dropped, in that order:
     the groups `sweep` binds a step to."""
@@ -658,7 +711,7 @@ class TestMonotoneTiming:
 
         def makespan(efficiency, scale):
             costs = step.durations(spec.peak_flops_per_gpu * efficiency, scale)
-            return max(step.run(costs)[1])
+            return step.makespan(step.run(costs))
 
         (e_low, e_high), (s_low, s_high) = efficiencies, scales
         for s in scales:
