@@ -18,7 +18,7 @@ groups of a double partition do run their collectives simultaneously).
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 from .cluster import ClusterSpec
@@ -28,6 +28,8 @@ ALL_GATHER = "all-gather"
 REDUCE_SCATTER = "reduce-scatter"
 ALL_REDUCE = "all-reduce"
 _KINDS = (ALL_GATHER, REDUCE_SCATTER, ALL_REDUCE)
+# The largest finite float: a larger int would not convert when priced.
+FLOAT_MAX = sys.float_info.max
 
 
 def check_payload(kind: str, nbytes: float) -> None:
@@ -35,7 +37,7 @@ def check_payload(kind: str, nbytes: float) -> None:
     a finite number >= 0."""
     if kind not in _KINDS:
         raise ValueError(f"unknown collective kind {kind!r}")
-    if not 0 <= nbytes < math.inf:
+    if not 0 <= nbytes <= FLOAT_MAX:
         raise ValueError(
             f"payload bytes must be a finite number >= 0, got {nbytes!r}")
 

@@ -40,7 +40,7 @@ from enum import Enum
 from .arch import BACKWARD_MULTIPLIER, MAEConfig, ViTConfig, flops, \
     param_count
 from .cluster import ClusterSpec, ProcessGroups, build_groups
-from .collectives import ALL_GATHER, ALL_REDUCE, REDUCE_SCATTER, \
+from .collectives import ALL_GATHER, ALL_REDUCE, FLOAT_MAX, REDUCE_SCATTER, \
     check_collective, check_payload
 from .errors import ConfigError
 
@@ -341,7 +341,7 @@ class StepSchedule:
                                  f"[0, {tid}), got {deps}")
             kind = task.kind
             if kind == COMPUTE:
-                if not 0 <= task.flops < math.inf:
+                if not 0 <= task.flops <= FLOAT_MAX:
                     raise ValueError(f"task {tid}: flops must be a finite "
                                      f"number >= 0, got {task.flops!r}")
             elif kind != FREE:

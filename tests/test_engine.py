@@ -147,7 +147,7 @@ class TestSimulateStep:
 
     @pytest.mark.parametrize("bad", [
         {"kind": "bogus"}, {"bytes": -1}, {"bytes": math.nan},
-        {"bytes": math.inf},
+        {"bytes": math.inf}, {"bytes": 10**400},
     ])
     def test_bad_collective_rejected_after_a_good_one_on_its_group(self, bad):
         # Task 1 shares task 0's range object, whose group check passed; its
@@ -155,7 +155,7 @@ class TestSimulateStep:
         with pytest.raises(ValueError, match="^task 1: "):
             manual_schedule([self.GATHER, replace(self.GATHER, id=1, **bad)])
 
-    @pytest.mark.parametrize("flops", [-1e12, math.nan, math.inf])
+    @pytest.mark.parametrize("flops", [-1e12, math.nan, math.inf, 10**400])
     def test_bad_compute_flops_rejected(self, flops):
         with pytest.raises(ValueError, match="^task 1: flops must be a finite "
                                              "number >= 0"):
@@ -169,7 +169,7 @@ class TestSimulateStep:
         with pytest.raises(ValueError, match=r"^task \d+: flops must be "):
             step_schedule(plan, PrefetchPolicy(), local_batch=1)
 
-    @pytest.mark.parametrize("nbytes", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("nbytes", [-1.0, math.nan, math.inf, 10**400])
     def test_bad_collective_call_bytes_rejected(self, nbytes):
         with pytest.raises(ValueError, match="^payload bytes must be a finite "
                                              "number >= 0"):
