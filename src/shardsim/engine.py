@@ -261,7 +261,11 @@ class _Step:
     def makespan(self, end: list[float]) -> float:
         """The latest of `run`'s ends, read from the stream tails alone; 0.0
         for a step with no records."""
-        return max([end[r] for r in self.tails], default=0.0)
+        latest = 0.0
+        for r in self.tails:
+            if end[r] > latest:
+                latest = end[r]
+        return latest
 
     def task_times(self, end: list[float]) -> tuple[list[float], list[float]]:
         """Each task's start and end, given each record's end from `run`.  A

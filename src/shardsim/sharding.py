@@ -276,10 +276,10 @@ class Task:
     """One node of a step DAG.
 
     In a schedule `step_schedule` builds, a task's id is its position and its
-    deps are a strictly ascending tuple of earlier ids.  Its `add` builds
-    each task through `_task`, which fills the instance dict directly: the
-    frozen `__init__` makes one `object.__setattr__` call per field, and a
-    small schedule spent about half its build time there.
+    deps are a strictly ascending tuple of earlier ids.  Its `add` fills
+    each task's instance dict directly: the frozen `__init__` makes one
+    `object.__setattr__` call per field, and a small schedule spent about
+    half its build time there.
     """
 
     id: int
@@ -293,21 +293,6 @@ class Task:
 
 
 _new = object.__new__
-
-
-def _task(id: int, kind: str, unit: str, phase: str, bytes: int,
-          flops: float, group: range, deps: tuple[int, ...]) -> Task:
-    """The `Task` of these field values, equal to `Task(...)` of them and as
-    frozen, built without `Task.__init__`.  The instance's own dict is
-    filled in field order; assigning a new dict instead would cost about
-    twice the memory per task."""
-    task = _new(Task)
-    attrs = task.__dict__
-    attrs["id"], attrs["kind"], attrs["unit"], attrs["phase"] = \
-        id, kind, unit, phase
-    attrs["bytes"], attrs["flops"], attrs["group"], attrs["deps"] = \
-        bytes, flops, group, deps
-    return task
 
 
 @dataclass(frozen=True)
@@ -394,9 +379,19 @@ def step_schedule(plan: ShardingPlan, policy: PrefetchPolicy,
 
     def add(kind: str, name: str, phase: str, nbytes: int, flops: float,
             group: range, deps: tuple[int, ...]) -> int:
-        """Issue a task whose deps are a strictly ascending tuple."""
+        """Issue the task of these field values; `deps` is a strictly
+        ascending tuple.  It equals `Task(...)` of them and is as frozen,
+        but is built without `Task.__init__`: its own dict is filled in
+        field order (assigning a new dict would cost about twice the memory
+        per task)."""
         tid = len(tasks)
-        append(_task(tid, kind, name, phase, nbytes, flops, group, deps))
+        task = _new(Task)
+        attrs = task.__dict__
+        attrs["id"], attrs["kind"], attrs["unit"], attrs["phase"] = \
+            tid, kind, name, phase
+        attrs["bytes"], attrs["flops"], attrs["group"], attrs["deps"] = \
+            nbytes, flops, group, deps
+        append(task)
         return tid
 
     shard_group = plan.groups.shard_group_of(0)
